@@ -149,11 +149,28 @@ class CacheBackend {
   virtual Status IqSet(const OpContext& ctx, std::string_view key,
                        CacheValue value, LeaseToken token) = 0;
 
+  /// Ends a read miss's I lease without waiting for the verdict: with a
+  /// `value` it is IqSet, without one it is IDelete (the store had no
+  /// record). The server's I-lease check alone decides whether a fill lands
+  /// (Lemma 2, Case II), so a caller that would discard the status posts
+  /// instead. Ops on one connection apply in submission order, so the post
+  /// lands before any later op of the same caller. The default runs the
+  /// synchronous op; TcpCacheBackend sends the frame and returns.
+  virtual void PostFill(const OpContext& ctx, std::string_view key,
+                        LeaseToken token, std::optional<CacheValue> value) {
+    if (value.has_value()) {
+      (void)IqSet(ctx, key, std::move(*value), token);
+    } else {
+      (void)IDelete(ctx, key, token);
+    }
+  }
+
   /// Acquire a Q lease (write path); voids any I lease.
   virtual Result<LeaseToken> Qareg(const OpContext& ctx,
                                    std::string_view key) = 0;
 
-  /// Delete-and-release (write-around commit).
+  /// Delete-and-release (write-around commit); voids any I lease. Callers
+  /// wait for the reply: the write is acknowledged only once it applied.
   virtual Status Dar(const OpContext& ctx, std::string_view key,
                      LeaseToken token) = 0;
 

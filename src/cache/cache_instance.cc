@@ -373,12 +373,17 @@ Result<IqGetResult> CacheInstance::IqGet(const OpContext& ctx,
 Status CacheInstance::IqSet(const OpContext& ctx, std::string_view key,
                             CacheValue value, LeaseToken token) {
   std::shared_lock<std::shared_mutex> meta(meta_mu_);
-  if (Status s = CheckRequestMeta(ctx); !s.ok()) return s;
+  if (Status s = CheckRequestMeta(ctx); !s.ok()) {
+    counters_.fills_rejected.fetch_add(1, std::memory_order_relaxed);
+    return s;
+  }
   const ConfigId cfg = StampForMeta(ctx);
   Stripe& st = StripeOf(key);
   std::lock_guard<std::mutex> lock(st.mu);
   if (!leases_.CheckI(key, token)) {
-    // Voided by a Q lease or expired: ignore the insert (Section 2.3).
+    // Voided by a Q lease or a Dar, or expired: ignore the insert
+    // (Section 2.3).
+    counters_.fills_rejected.fetch_add(1, std::memory_order_relaxed);
     return Status(Code::kLeaseInvalid);
   }
   UpsertLocked(st, key, std::move(value), cfg);
@@ -392,6 +397,7 @@ Status CacheInstance::IqSet(const OpContext& ctx, std::string_view key,
     if (it != st.table.end()) {
       EraseLocked(st, it->second, /*count_as_delete=*/false);
     }
+    counters_.fills_rejected.fetch_add(1, std::memory_order_relaxed);
     return Status(Code::kLeaseInvalid);
   }
   LogUpsertLocked(st, PersistOp::kIqSet, key);
@@ -427,6 +433,12 @@ Status CacheInstance::Dar(const OpContext& ctx, std::string_view key,
     sink_->OnDelete(PersistOp::kDar, key);
     sink_->OnQuarantineEnd(key);
   }
+  // A Q lease that lapsed before this Dar let a reader take an I lease and
+  // read the store before the writer's update. Voiding it under the stripe
+  // lock makes both CheckI calls in IqSet refuse that fill: lost, never
+  // stale. (Rar and WriteBackInstall need no void: CheckQ refuses a lapsed
+  // Q lease, and a live one excludes every I lease.)
+  leases_.VoidI(key);
   leases_.ReleaseQ(key, token);
   return Status::Ok();
 }
@@ -743,6 +755,7 @@ CacheInstance::Stats CacheInstance::stats() const {
   s.deletes = counters_.deletes.load(std::memory_order_relaxed);
   s.evictions = counters_.evictions.load(std::memory_order_relaxed);
   s.config_discards = counters_.config_discards.load(std::memory_order_relaxed);
+  s.fills_rejected = counters_.fills_rejected.load(std::memory_order_relaxed);
   for (const auto& sp : stripes_) {
     std::lock_guard<std::mutex> lock(sp->mu);
     s.used_bytes += sp->used_bytes;
@@ -758,6 +771,7 @@ void CacheInstance::ResetCounters() {
   counters_.deletes.store(0, std::memory_order_relaxed);
   counters_.evictions.store(0, std::memory_order_relaxed);
   counters_.config_discards.store(0, std::memory_order_relaxed);
+  counters_.fills_rejected.store(0, std::memory_order_relaxed);
 }
 
 bool CacheInstance::ContainsRaw(std::string_view key) const {

@@ -166,7 +166,9 @@ class CacheInstance : public CacheBackend {
   Result<LeaseToken> Qareg(const OpContext& ctx,
                            std::string_view key) override;
 
-  /// Delete-and-release: removes the entry and releases the Q lease.
+  /// Delete-and-release: removes the entry, voids any live I lease on the
+  /// key (one can exist only if the Q lease lapsed first) and releases the
+  /// Q lease.
   Status Dar(const OpContext& ctx, std::string_view key,
              LeaseToken token) override;
 
@@ -272,6 +274,11 @@ class CacheInstance : public CacheBackend {
     /// Hits rejected because the entry's config id was below its fragment's
     /// minimum (Rejig discard rule) — the "discarded keys" of Table 3.
     uint64_t config_discards = 0;
+    /// IqSets refused by the request check (instance up, configuration
+    /// current, fragment lease held) or by the I-lease check. A client that
+    /// posts its fills never sees the verdict, so dropped fills are counted
+    /// here.
+    uint64_t fills_rejected = 0;
     uint64_t used_bytes = 0;
     uint64_t entry_count = 0;
   };
@@ -396,6 +403,7 @@ class CacheInstance : public CacheBackend {
     std::atomic<uint64_t> deletes{0};
     std::atomic<uint64_t> evictions{0};
     std::atomic<uint64_t> config_discards{0};
+    std::atomic<uint64_t> fills_rejected{0};
   };
 
   const InstanceId id_;

@@ -360,15 +360,15 @@ Result<GeminiClient::ReadResult> GeminiClient::FillFromStore(
   if (!rec.ok()) {
     // No backing record: release the I lease so other sessions proceed.
     session.BillCacheOp(target);
-    (void)inst.IDelete(ctx, key, i_token);
+    inst.PostFill(ctx, key, i_token, std::nullopt);
     return rec.status();
   }
   CacheValue value = ValueFromRecord(*rec);
   session.BillCacheOp(target);
-  // kLeaseInvalid here means a concurrent write voided our I lease; the
-  // insert is ignored but the value we computed is still consistent to
-  // return (Lemma 2, Case II).
-  (void)inst.IqSet(ctx, key, value, i_token);
+  // Posted, not awaited: if a concurrent write voided our I lease the
+  // server drops the insert, but the value we computed is still consistent
+  // to return (Lemma 2, Case II), so the verdict changes nothing here.
+  inst.PostFill(ctx, key, i_token, value);
   ReadResult out;
   out.value = std::move(value);
   out.instance = target;
@@ -497,7 +497,7 @@ Result<GeminiClient::ReadResult> GeminiClient::ReadRecovery(
       auto sv = instances_.at(a.secondary)->Get(ctx, key);
       if (sv.ok()) {
         session.BillCacheOp(a.primary);
-        (void)pr.IqSet(ctx, key, *sv, token);
+        pr.PostFill(ctx, key, token, *sv);
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.cache_hits;
         ++stats_.wst_copies;

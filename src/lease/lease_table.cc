@@ -96,6 +96,14 @@ void LeaseTable::ReleaseQ(std::string_view key, LeaseToken token) {
   MaybeEraseLocked(it->first, it->second);
 }
 
+void LeaseTable::VoidI(std::string_view key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = keys_.find(std::string(key));
+  if (it == keys_.end()) return;
+  it->second.i_token = kNoLease;
+  MaybeEraseLocked(it->first, it->second);
+}
+
 Result<LeaseToken> LeaseTable::AcquireRed(std::string_view key) {
   const Timestamp now = clock_->Now();
   std::lock_guard<std::mutex> lock(mu_);

@@ -79,6 +79,12 @@ class LeaseTable {
   /// Releases a Q lease; idempotent.
   void ReleaseQ(std::string_view key, LeaseToken token);
 
+  /// Voids any live I lease on `key`, so its holder's later insert is
+  /// ignored. A write's delete calls this: an I lease can be live at that
+  /// point only if it was granted after the writer's Q lease lapsed, and its
+  /// holder may have read the store before the write's update.
+  void VoidI(std::string_view key);
+
   /// Grants a Redlease, or kBackoff while another worker holds one.
   Result<LeaseToken> AcquireRed(std::string_view key);
   bool CheckRed(std::string_view key, LeaseToken token);

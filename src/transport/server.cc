@@ -2247,6 +2247,7 @@ void TransportServer::HandleStats(Connection& conn) {
     kv.emplace_back("cache.deletes", cache.deletes);
     kv.emplace_back("cache.evictions", cache.evictions);
     kv.emplace_back("cache.config_discards", cache.config_discards);
+    kv.emplace_back("cache.fills_rejected", cache.fills_rejected);
     kv.emplace_back("cache.used_bytes", cache.used_bytes);
     kv.emplace_back("cache.entry_count", cache.entry_count);
     if (conn.instance_options != nullptr &&

@@ -52,6 +52,15 @@ std::string CtxKeyBody(const OpContext& ctx, std::string_view key) {
   return body;
 }
 
+/// Requests that carry `ctx | key | token`, the prefix of every op that
+/// presents a lease.
+std::string CtxKeyTokenBody(const OpContext& ctx, std::string_view key,
+                            LeaseToken token) {
+  std::string body = CtxKeyBody(ctx, key);
+  wire::PutU64(body, token);
+  return body;
+}
+
 }  // namespace
 
 Result<CacheValue> TcpCacheBackend::Get(const OpContext& ctx,
@@ -169,13 +178,24 @@ Result<IqGetResult> TcpCacheBackend::IqGet(const OpContext& ctx,
 Status TcpCacheBackend::IqSet(const OpContext& ctx, std::string_view key,
                               CacheValue value, LeaseToken token) {
   if (Status s = CheckKey(key); !s.ok()) return s;
-  std::string body;
-  wire::PutContext(body, ctx);
-  wire::PutKey(body, key);
-  wire::PutU64(body, token);
+  std::string body = CtxKeyTokenBody(ctx, key, token);
   wire::PutValue(body, value);
   std::string resp;
   return Transact(wire::Op::kIqSet, body, &resp);
+}
+
+void TcpCacheBackend::PostFill(const OpContext& ctx, std::string_view key,
+                               LeaseToken token,
+                               std::optional<CacheValue> value) {
+  // An oversized key never got an I lease; there is nothing to end.
+  if (!CheckKey(key).ok()) return;
+  std::string body = CtxKeyTokenBody(ctx, key, token);
+  if (value.has_value()) wire::PutValue(body, *value);
+  // The completion captures nothing, so it outlives this backend safely: a
+  // lost frame only leaves the I lease to lapse, and the server's lease
+  // check settles the fill either way.
+  conn_->SubmitAsync(value.has_value() ? wire::Op::kIqSet : wire::Op::kIDelete,
+                     body, [](Status, std::string) {});
 }
 
 Result<LeaseToken> TcpCacheBackend::Qareg(const OpContext& ctx,
@@ -197,10 +217,7 @@ Result<LeaseToken> TcpCacheBackend::Qareg(const OpContext& ctx,
 Status TcpCacheBackend::Dar(const OpContext& ctx, std::string_view key,
                             LeaseToken token) {
   if (Status s = CheckKey(key); !s.ok()) return s;
-  std::string body;
-  wire::PutContext(body, ctx);
-  wire::PutKey(body, key);
-  wire::PutU64(body, token);
+  std::string body = CtxKeyTokenBody(ctx, key, token);
   std::string resp;
   return Transact(wire::Op::kDar, body, &resp);
 }
@@ -208,10 +225,7 @@ Status TcpCacheBackend::Dar(const OpContext& ctx, std::string_view key,
 Status TcpCacheBackend::Rar(const OpContext& ctx, std::string_view key,
                             CacheValue value, LeaseToken token) {
   if (Status s = CheckKey(key); !s.ok()) return s;
-  std::string body;
-  wire::PutContext(body, ctx);
-  wire::PutKey(body, key);
-  wire::PutU64(body, token);
+  std::string body = CtxKeyTokenBody(ctx, key, token);
   wire::PutValue(body, value);
   std::string resp;
   return Transact(wire::Op::kRar, body, &resp);
@@ -236,10 +250,7 @@ Result<LeaseToken> TcpCacheBackend::ISet(const OpContext& ctx,
 Status TcpCacheBackend::IDelete(const OpContext& ctx, std::string_view key,
                                 LeaseToken token) {
   if (Status s = CheckKey(key); !s.ok()) return s;
-  std::string body;
-  wire::PutContext(body, ctx);
-  wire::PutKey(body, key);
-  wire::PutU64(body, token);
+  std::string body = CtxKeyTokenBody(ctx, key, token);
   std::string resp;
   return Transact(wire::Op::kIDelete, body, &resp);
 }
@@ -376,10 +387,7 @@ Status TcpCacheBackend::WriteBackInstall(const OpContext& ctx,
                                          std::string_view key,
                                          CacheValue value, LeaseToken token) {
   if (Status s = CheckKey(key); !s.ok()) return s;
-  std::string body;
-  wire::PutContext(body, ctx);
-  wire::PutKey(body, key);
-  wire::PutU64(body, token);
+  std::string body = CtxKeyTokenBody(ctx, key, token);
   wire::PutValue(body, value);
   std::string resp;
   return Transact(wire::Op::kWriteBackInstall, body, &resp);

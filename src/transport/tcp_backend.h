@@ -20,6 +20,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,10 @@ class TcpCacheBackend : public CacheBackend {
                             std::string_view key) override;
   Status IqSet(const OpContext& ctx, std::string_view key, CacheValue value,
                LeaseToken token) override;
+  /// Submits the IQSET/IDELETE frame into the pipeline and returns without
+  /// waiting for its response (which is discarded).
+  void PostFill(const OpContext& ctx, std::string_view key, LeaseToken token,
+                std::optional<CacheValue> value) override;
   Result<LeaseToken> Qareg(const OpContext& ctx,
                            std::string_view key) override;
   Status Dar(const OpContext& ctx, std::string_view key,

@@ -73,6 +73,45 @@ TEST_F(CacheInstanceTest, IqSetAfterQaregIsIgnored) {
   EXPECT_EQ(inst_.Get(Ctx(), "k").code(), Code::kNotFound);
 }
 
+TEST_F(CacheInstanceTest, FillGrantedAfterQLapseDoesNotLandAfterDar) {
+  // 1: writer W takes Q. 2: Q lapses (Qareg's eager sync or a slow writer).
+  // 3: reader R misses, is granted I and reads v1 from the store. 4: W
+  // updates the store to v2 and its Dar is acknowledged. 5: R's fill of v1
+  // arrives. Installing it would serve v1 after v2 was acknowledged.
+  auto q = inst_.Qareg(Ctx(), "k");
+  ASSERT_TRUE(q.ok());
+  clock_.Advance(inst_.options().lease_options.q_lease_lifetime + Millis(50));
+  auto r = inst_.IqGet(Ctx(), "k");
+  ASSERT_TRUE(r.ok());
+  ASSERT_FALSE(r->value.has_value());
+  ASSERT_TRUE(inst_.Dar(Ctx(), "k", *q).ok());
+  EXPECT_EQ(
+      inst_.IqSet(Ctx(), "k", CacheValue::OfData("v1", 1), r->i_token).code(),
+      Code::kLeaseInvalid);
+  EXPECT_EQ(inst_.Get(Ctx(), "k").code(), Code::kNotFound);
+}
+
+TEST_F(CacheInstanceTest, StatsCountRejectedFills) {
+  auto voided = inst_.IqGet(Ctx(), "a");
+  ASSERT_TRUE(inst_.Qareg(Ctx(), "a").ok());
+  EXPECT_EQ(inst_.IqSet(Ctx(), "a", CacheValue::OfData("v"), voided->i_token)
+                .code(),
+            Code::kLeaseInvalid);
+  // A fill from a configuration older than the instance's latest is refused
+  // by the request check, before its lease is looked at.
+  auto stale = inst_.IqGet(Ctx(), "b");
+  inst_.ObserveConfigId(2);
+  EXPECT_EQ(inst_.IqSet(Ctx(1), "b", CacheValue::OfData("v"), stale->i_token)
+                .code(),
+            Code::kStaleConfig);
+  auto good = inst_.IqGet(Ctx(2), "c");
+  ASSERT_TRUE(
+      inst_.IqSet(Ctx(2), "c", CacheValue::OfData("v"), good->i_token).ok());
+  EXPECT_EQ(inst_.stats().fills_rejected, 2u);
+  inst_.ResetCounters();
+  EXPECT_EQ(inst_.stats().fills_rejected, 0u);
+}
+
 TEST_F(CacheInstanceTest, IqSetAfterExpiryIsIgnored) {
   auto r = inst_.IqGet(Ctx(), "k");
   clock_.Advance(inst_.options().lease_options.i_lease_lifetime + 1);

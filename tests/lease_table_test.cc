@@ -52,6 +52,23 @@ TEST_F(LeaseTableTest, QVoidsExistingI) {
   EXPECT_TRUE(table_.CheckQ("k", q));
 }
 
+TEST_F(LeaseTableTest, DeleteVoidsIGrantedAfterQLapse) {
+  // The Q-lapse race at the lease layer. 1: a writer takes Q. 2: Q lapses
+  // before the writer's delete (a slow disk or writer). 3: a reader misses,
+  // is granted I and reads the pre-update store record. 4: the writer
+  // updates the store and deletes (Dar: VoidI, then ReleaseQ). 5: the
+  // reader's insert must find its I lease dead.
+  const LeaseToken q = table_.AcquireQ("k");
+  clock_.Advance(table_.options().q_lease_lifetime + Millis(50));
+  auto i = table_.AcquireI("k");
+  ASSERT_TRUE(i.ok());
+  table_.VoidI("k");
+  table_.ReleaseQ("k", q);
+  EXPECT_FALSE(table_.CheckI("k", *i));
+  // The fill is lost, not blocked: the next miss gets a fresh I lease.
+  EXPECT_TRUE(table_.AcquireI("k").ok());
+}
+
 TEST_F(LeaseTableTest, QCompatibleWithQ) {
   // Write-around deletes commute, so concurrent Q leases are granted.
   const LeaseToken q1 = table_.AcquireQ("k");

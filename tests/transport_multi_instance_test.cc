@@ -392,8 +392,15 @@ TEST_P(MultiInstanceClusterTest, FullFailoverAndRecoveryCycleOverTcp) {
       coordinator_->GetConfiguration()->id(), f);
   ASSERT_TRUE(dl.ok());
   EXPECT_NE(dl->data.find(key), std::string::npos);
-  // Refill the secondary so recovery has a fresh value to transfer.
+  // Refill the secondary so recovery has a fresh value to transfer. The
+  // client posts the fill without waiting for it; a Get on the same
+  // connection is answered only after the fill applied (FIFO, PROTOCOL.md
+  // §10.6), so it doubles as a barrier before the in-process steps below.
   ASSERT_TRUE(client_->Read(session_, key).ok());
+  ASSERT_TRUE(
+      backends_[secondary]
+          ->Get(OpContext{kInternalConfigId, kInvalidFragment}, key)
+          .ok());
 
   // The primary restarts with its (persistent) content; its fragments enter
   // recovery mode.

@@ -23,8 +23,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,6 +130,7 @@ class StallServer {
       ::close(cfd);
       std::lock_guard<std::mutex> lock(mu_);
       close_client_ = false;
+      pending_ = 0;  // responses owed to a closed connection are never sent
     }
   }
 
@@ -458,6 +462,194 @@ TEST_F(PipelineE2eTest, ConcurrentSubmittersNeverMismatchResponses) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// ---- Posted fills (IqSet/IDelete without waiting) ---------------------------
+
+TEST_F(PipelineE2eTest, PostedFillThenIqGetOnSameConnectionHits) {
+  auto miss = backend_->IqGet(kInternalCtx, "k");
+  ASSERT_TRUE(miss.ok());
+  ASSERT_FALSE(miss->value.has_value());
+  backend_->PostFill(kInternalCtx, "k", miss->i_token,
+                     CacheValue::OfData("filled", 7));
+  // No wait in between: FIFO per connection applies the fill first.
+  auto hit = backend_->IqGet(kInternalCtx, "k");
+  ASSERT_TRUE(hit.ok());
+  ASSERT_TRUE(hit->value.has_value());
+  EXPECT_EQ(hit->value->data, "filled");
+  EXPECT_EQ(hit->value->version, 7u);
+
+  // A posted release (the store had no record) frees the key the same way.
+  auto absent = backend_->IqGet(kInternalCtx, "absent");
+  ASSERT_TRUE(absent.ok());
+  backend_->PostFill(kInternalCtx, "absent", absent->i_token, std::nullopt);
+  auto again = backend_->IqGet(kInternalCtx, "absent");
+  ASSERT_TRUE(again.ok()) << "I lease still held: " << again.status().ToString();
+  EXPECT_FALSE(again->value.has_value());
+}
+
+/// The cache's kStats counters, read over `conn`.
+std::map<std::string, uint64_t> ReadStats(TcpConnection& conn) {
+  std::map<std::string, uint64_t> stats;
+  std::string resp;
+  EXPECT_TRUE(conn.Transact(wire::Op::kStats, "", &resp).ok());
+  wire::Reader r(resp);
+  uint32_t count = 0;
+  EXPECT_TRUE(r.GetU32(&count));
+  for (uint32_t i = 0; i < count; ++i) {
+    std::string_view name;
+    uint64_t value = 0;
+    EXPECT_TRUE(r.GetBlob(&name) && r.GetU64(&value));
+    stats[std::string(name)] = value;
+  }
+  return stats;
+}
+
+/// A TcpCacheBackend that runs `before_post` between a read miss's store
+/// query and its posted fill — the window a concurrent writer races.
+class InterposingBackend : public TcpCacheBackend {
+ public:
+  using TcpCacheBackend::TcpCacheBackend;
+  std::function<void()> before_post;
+
+  void PostFill(const OpContext& ctx, std::string_view key, LeaseToken token,
+                std::optional<CacheValue> value) override {
+    if (before_post) before_post();
+    TcpCacheBackend::PostFill(ctx, key, token, std::move(value));
+  }
+};
+
+/// One geminid instance behind a TransportServer, fronted for a
+/// GeminiClient by an InterposingBackend.
+class PostedFillClientTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    instance_ = std::make_unique<CacheInstance>(0, &clock_);
+    server_ = std::make_unique<TransportServer>(instance_.get(),
+                                                TransportServer::Options{});
+    ASSERT_TRUE(server_->Start().ok());
+    backend_ =
+        std::make_unique<InterposingBackend>("127.0.0.1", server_->port());
+    ASSERT_TRUE(backend_->Connect().ok());
+    coordinator_ = std::make_unique<Coordinator>(
+        &clock_, std::vector<CacheInstance*>{instance_.get()},
+        /*num_fragments=*/4);
+    client_ = std::make_unique<GeminiClient>(
+        &clock_, coordinator_.get(),
+        std::vector<CacheBackend*>{backend_.get()}, &store_);
+  }
+
+  void TearDown() override {
+    client_.reset();
+    backend_.reset();
+    if (server_ != nullptr) server_->Stop();
+  }
+
+  OpContext CtxOf(std::string_view key) {
+    auto cfg = coordinator_->GetConfiguration();
+    return OpContext{cfg->id(), cfg->FragmentOf(key)};
+  }
+
+  VirtualClock clock_;
+  DataStore store_;
+  std::unique_ptr<CacheInstance> instance_;
+  std::unique_ptr<TransportServer> server_;
+  std::unique_ptr<InterposingBackend> backend_;
+  std::unique_ptr<Coordinator> coordinator_;
+  std::unique_ptr<GeminiClient> client_;
+  Session session_;
+};
+
+TEST_F(PostedFillClientTest, WriteFromAnotherConnectionVoidsPostedFill) {
+  store_.Put("k", "v1");
+  const Version v1 = store_.VersionOf("k");
+  // A writer on its own socket (not the shared pool connection) completes
+  // Qareg, the store update and Dar after the reader queried the store and
+  // before its fill is posted.
+  TcpConnection writer("127.0.0.1", server_->port(), wire::kAnyInstance,
+                       TcpConnection::Options{});
+  ASSERT_TRUE(writer.Connect().ok());
+  backend_->before_post = [&] {
+    backend_->before_post = nullptr;
+    const std::string ctx_key = [&] {
+      std::string body;
+      wire::PutContext(body, CtxOf("k"));
+      wire::PutKey(body, "k");
+      return body;
+    }();
+    std::string resp;
+    ASSERT_TRUE(writer.Transact(wire::Op::kQareg, ctx_key, &resp).ok());
+    wire::Reader r(resp);
+    uint64_t q = 0;
+    ASSERT_TRUE(r.GetU64(&q));
+    store_.Update("k", std::string("v2"));
+    std::string dar = ctx_key;
+    wire::PutU64(dar, q);
+    ASSERT_TRUE(writer.Transact(wire::Op::kDar, dar, &resp).ok());
+  };
+
+  auto read = client_->Read(session_, "k");
+  ASSERT_TRUE(read.ok());
+  EXPECT_FALSE(read->cache_hit);
+  // The reader returns what it computed: the read overlapped the write, so
+  // v1 is a consistent answer (Lemma 2, Case II).
+  EXPECT_EQ(read->value.data, "v1");
+  EXPECT_EQ(read->value.version, v1);
+
+  // FIFO barrier on the reader's connection: the posted fill has applied,
+  // and the server refused it.
+  EXPECT_EQ(backend_->Get(CtxOf("k"), "k").code(), Code::kNotFound);
+  EXPECT_EQ(ReadStats(writer)["cache.fills_rejected"], 1u);
+
+  // The next read misses, fills v2 and then hits it.
+  read = client_->Read(session_, "k");
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read->value.data, "v2");
+  read = client_->Read(session_, "k");
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(read->cache_hit);
+  EXPECT_EQ(read->value.data, "v2");
+}
+
+TEST_F(PostedFillClientTest, TeardownWithPostedFillsInFlightIsClean) {
+  for (int i = 0; i < 64; ++i) store_.Put("user" + std::to_string(i), "v");
+  // Every read misses and posts a fill; tear the client and its backend
+  // down with the last posts still in flight.
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(client_->Read(session_, "user" + std::to_string(i)).ok());
+  }
+  client_.reset();
+  backend_.reset();
+}
+
+TEST(PostedFillTest, ConnectionCutWithPostsInFlightRedialsWithoutHanging) {
+  StallServer server;
+  TcpCacheBackend backend("127.0.0.1", server.port());
+  constexpr size_t kPosts = 5;
+  for (size_t i = 0; i < kPosts; ++i) {
+    backend.PostFill(kInternalCtx, "k" + std::to_string(i), /*token=*/1,
+                     CacheValue::OfData("v"));
+  }
+  // The posts returned at once; their frames reached the server and wait on
+  // responses it withholds.
+  ASSERT_TRUE(WaitFor([&] { return server.requests_seen() == kPosts; }));
+
+  server.CloseClient();
+  ASSERT_TRUE(WaitFor([&] { return !backend.connected(); }));
+
+  // The next call redials and completes normally.
+  server.AllowResponses(1);
+  EXPECT_TRUE(backend.Ping().ok());
+  EXPECT_EQ(server.requests_seen(), kPosts + 1);
+
+  // Destroy the backend (the last holder of its connection) with posts in
+  // flight again: their completions fail inside the teardown, capturing
+  // nothing that dies with it.
+  for (size_t i = 0; i < kPosts; ++i) {
+    backend.PostFill(kInternalCtx, "k" + std::to_string(i), /*token=*/1,
+                     std::nullopt);
+  }
+  ASSERT_TRUE(WaitFor([&] { return server.requests_seen() == 2 * kPosts + 1; }));
 }
 
 // ---- WarmUp over the in-process backend ------------------------------------
