@@ -71,6 +71,9 @@ struct BenchResult {
   double ops_per_sec = 0;
   double p50_us = 0;
   double p99_us = 0;
+  /// Further (key, value) fields written after p99_us, e.g. the spread of a
+  /// median taken over several trials.
+  std::vector<std::pair<std::string, double>> extra;
 };
 
 inline std::string JsonNumber(double v) {
@@ -94,7 +97,11 @@ inline std::string ResultsToJson(const std::string& suite,
     }
     out += "}, \"ops_per_sec\": " + JsonNumber(r.ops_per_sec);
     out += ", \"p50_us\": " + JsonNumber(r.p50_us);
-    out += ", \"p99_us\": " + JsonNumber(r.p99_us) + "}";
+    out += ", \"p99_us\": " + JsonNumber(r.p99_us);
+    for (const auto& [key, value] : r.extra) {
+      out += ", \"" + key + "\": " + JsonNumber(value);
+    }
+    out += "}";
   }
   out += "\n  ]\n}\n";
   return out;

@@ -7,9 +7,14 @@
 //  through TcpConnection's async window: window=1 reproduces the old strict
 //  request/response alternation (one frame in flight, one round trip per
 //  op), larger windows let the writer coalesce frames into single send(2)
-//  calls and the server answer whole bursts per epoll wakeup. Writes
-//  BENCH_transport.json; the committed file at the repo root is the
-//  loopback baseline backing the ROADMAP pipelining claim.
+//  calls and the server answer whole bursts per epoll wakeup. Then the
+//  transport_transact group: closed-loop Transact GETs from 1, 2 and 4
+//  threads sharing one connection — the synchronous path every Gemini
+//  protocol step takes, where each waiting caller sends its own frame and
+//  reads responses itself. Its ops/s is the median of 5 trials, reported
+//  with the trials' quartiles. Writes BENCH_transport.json; the committed
+//  file at the repo root is the loopback baseline backing the ROADMAP
+//  pipelining claim.
 //
 //  --scaling — server scaling sweep. For each event-loop count in {1,2,4},
 //  starts a fresh server with that many loops (and a lock-striped
@@ -46,6 +51,8 @@
 //        --json=PATH.
 #include <sys/utsname.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -153,6 +160,83 @@ WindowRun RunWindow(uint16_t port, size_t window, size_t ops,
   out.p50_us = hist.Percentile(0.50);
   out.p99_us = hist.Percentile(0.99);
   out.errors = errors;
+  return out;
+}
+
+// ---- Caller-driven round trips ----------------------------------------------
+
+constexpr int kTransactTrials = 5;
+
+struct TransactRun {
+  size_t threads = 0;
+  size_t ops = 0;  // per trial
+  double ops_per_sec = 0;  // median trial
+  double ops_per_sec_q1 = 0;
+  double ops_per_sec_q3 = 0;
+  double p50_us = 0;
+  double p99_us = 0;
+  uint64_t errors = 0;
+};
+
+/// Runs kTransactTrials trials of `ops` closed-loop Transact GETs, split
+/// across `threads` threads that share one connection (each thread waits
+/// for its reply before it sends the next request). Latencies pool every
+/// trial; ops/s is the median trial, with the trials' quartiles.
+TransactRun RunTransact(uint16_t port, size_t threads, size_t ops,
+                        const std::vector<std::string>& bodies) {
+  TcpConnection conn("127.0.0.1", port, wire::kAnyInstance,
+                     TcpConnection::Options{});
+  Histogram hist;
+  std::atomic<uint64_t> errors{0};
+  const auto trial = [&](size_t per_thread, bool record) {
+    std::vector<Histogram> hists(threads);
+    std::vector<std::thread> workers;
+    const auto t0 = SteadyClock::now();
+    for (size_t t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        std::string resp;
+        for (size_t i = 0; i < per_thread; ++i) {
+          const auto start = SteadyClock::now();
+          const Status s =
+              conn.Transact(wire::Op::kGet,
+                            bodies[(t * per_thread + i) % bodies.size()],
+                            &resp);
+          const int64_t us =
+              std::chrono::duration_cast<std::chrono::microseconds>(
+                  SteadyClock::now() - start)
+                  .count();
+          hists[t].Record(us > 0 ? us : 1);
+          if (!s.ok()) errors.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+    const double secs =
+        std::chrono::duration<double>(SteadyClock::now() - t0).count();
+    if (record) {
+      for (const Histogram& h : hists) hist.Merge(h);
+    }
+    return secs > 0 ? static_cast<double>(per_thread * threads) / secs : 0;
+  };
+
+  const size_t per_thread = std::max<size_t>(1, ops / threads);
+  trial(std::min<size_t>(per_thread / 10 + 1, 500), /*record=*/false);
+  errors.store(0);
+  std::vector<double> rates;
+  for (int k = 0; k < kTransactTrials; ++k) {
+    rates.push_back(trial(per_thread, /*record=*/true));
+  }
+  std::sort(rates.begin(), rates.end());
+
+  TransactRun out;
+  out.threads = threads;
+  out.ops = per_thread * threads;
+  out.ops_per_sec = rates[rates.size() / 2];
+  out.ops_per_sec_q1 = rates[rates.size() / 4];
+  out.ops_per_sec_q3 = rates[rates.size() * 3 / 4];
+  out.p50_us = hist.Percentile(0.50);
+  out.p99_us = hist.Percentile(0.99);
+  out.errors = errors.load();
   return out;
 }
 
@@ -645,6 +729,28 @@ int Run(int argc, char** argv) {
     total_errors += r.errors;
   }
   if (proxy) proxy->Stop();
+
+  // The synchronous path: the clean default mode only (the chaos sweep's
+  // point is the async window under injected delay).
+  std::vector<TransactRun> transacts;
+  if (!chaos) {
+    const size_t trial_ops = std::max<size_t>(ops / kTransactTrials, 500);
+    std::printf("\n  transport_transact: closed-loop Transact GETs, threads "
+                "sharing one connection, %zu ops/trial, median of %d "
+                "trials [q1, q3]\n",
+                trial_ops, kTransactTrials);
+    std::printf("  %8s %12s %22s %10s %10s\n", "threads", "ops/sec",
+                "[q1, q3]", "p50 us", "p99 us");
+    for (const size_t threads : {1, 2, 4}) {
+      transacts.push_back(
+          RunTransact(server.port(), threads, trial_ops, bodies));
+      const TransactRun& r = transacts.back();
+      std::printf("  %8zu %12.0f   [%8.0f, %8.0f] %10.1f %10.1f\n",
+                  r.threads, r.ops_per_sec, r.ops_per_sec_q1,
+                  r.ops_per_sec_q3, r.p50_us, r.p99_us);
+      total_errors += r.errors;
+    }
+  }
   server.Stop();
   if (total_errors > 0) {
     std::fprintf(stderr, "bench_transport: %llu ops failed\n",
@@ -669,6 +775,23 @@ int Run(int argc, char** argv) {
     br.ops_per_sec = r.ops_per_sec;
     br.p50_us = r.p50_us;
     br.p99_us = r.p99_us;
+    results.push_back(std::move(br));
+  }
+  for (const TransactRun& r : transacts) {
+    bench::BenchResult br;
+    br.name = "transport_transact";
+    br.params = {{"threads", static_cast<double>(r.threads)},
+                 {"trials", static_cast<double>(kTransactTrials)},
+                 {"ops", static_cast<double>(r.ops)},
+                 {"value_bytes", static_cast<double>(value_bytes)},
+                 {"keys", static_cast<double>(num_keys)},
+                 {"backend", BackendCode(server)},
+                 {"kernel", KernelCode()}};
+    br.ops_per_sec = r.ops_per_sec;
+    br.p50_us = r.p50_us;
+    br.p99_us = r.p99_us;
+    br.extra = {{"ops_per_sec_q1", r.ops_per_sec_q1},
+                {"ops_per_sec_q3", r.ops_per_sec_q3}};
     results.push_back(std::move(br));
   }
   std::printf("\n  window 32 vs 1 speedup: %.1fx\n",

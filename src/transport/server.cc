@@ -2212,16 +2212,13 @@ void TransportServer::HandleStats(Connection& conn) {
   kv.emplace_back("server.connections_reaped", server.connections_reaped);
   kv.emplace_back("server.accept_errors", server.accept_errors);
   // Data-plane flush efficiency: sendmsg_calls counts actual syscalls (or
-  // uring SENDMSG completions), frames_per_flush shows how much coalescing
-  // the gathered writes achieve, uring_sqe_batched how many SQEs rode a
-  // shared io_uring_enter.
+  // uring SENDMSG completions), frames_flushed / flush_calls is how many
+  // frames the gathered writes coalesce (exported raw: an integer quotient
+  // would truncate 1.24 to 1, and a delta of ratios is meaningless), and
+  // uring_sqe_batched counts the SQEs that rode a shared io_uring_enter.
   kv.emplace_back("transport.sendmsg_calls", server.sendmsg_calls);
   kv.emplace_back("transport.flush_calls", server.flush_calls);
   kv.emplace_back("transport.frames_flushed", server.frames_flushed);
-  kv.emplace_back("transport.frames_per_flush",
-                  server.flush_calls > 0
-                      ? server.frames_flushed / server.flush_calls
-                      : 0);
   kv.emplace_back("transport.uring_sqe_batched", server.uring_sqe_batched);
   // Working-set transfer progress as seen from this server (the scan side;
   // the pulling worker keeps its own install-side counters).

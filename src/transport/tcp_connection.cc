@@ -94,7 +94,7 @@ Status SendFramesFd(int fd, const std::deque<std::string>& frames) {
 
 /// Reads from `fd` into `buf` until one full frame is decodable; outputs its
 /// tag and body and erases the consumed bytes. Used only for the synchronous
-/// HELLO exchange, before the connection's reader thread owns the stream.
+/// HELLO exchange, before any reader-role holder owns the stream.
 Status ReadFrameFd(int fd, std::string& buf, uint8_t* tag, std::string* body) {
   char chunk[64 * 1024];
   for (;;) {
@@ -148,11 +148,11 @@ TcpConnection::TcpConnection(std::string host, uint16_t port,
       options_(options) {}
 
 TcpConnection::~TcpConnection() {
-  std::deque<Completion> victims;
+  std::vector<Completion> victims;
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
-    victims = TearLocked();
+    victims = TearLocked("connection destroyed");
   }
   FailAll(victims, "connection destroyed");
   if (writer_.joinable()) writer_.join();
@@ -196,15 +196,16 @@ Status TcpConnection::Connect() {
 }
 
 void TcpConnection::Disconnect() {
-  std::deque<Completion> victims;
+  std::vector<Completion> victims;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    victims = TearLocked();
+    victims = TearLocked("disconnected");
   }
   FailAll(victims, "disconnected");
 }
 
-std::deque<TcpConnection::Completion> TcpConnection::TearLocked() {
+std::vector<TcpConnection::Completion> TcpConnection::TearLocked(
+    const std::string& why) {
   if (sock_ != nullptr) {
     // Shutdown (not close) interrupts any thread blocked in send/recv; the
     // fd itself is closed when the last Socket reference drops, so a thread
@@ -213,15 +214,30 @@ std::deque<TcpConnection::Completion> TcpConnection::TearLocked() {
     sock_.reset();
   }
   send_queue_.clear();
-  std::deque<Completion> victims;
-  victims.swap(inflight_);
+  std::vector<Completion> victims;
+  for (Request& req : inflight_) {
+    if (req.waiter == nullptr) {
+      victims.push_back(std::move(req.done));
+      continue;
+    }
+    req.reply->status = Status(Code::kUnavailable, why);
+    --req.waiter->pending;
+  }
+  inflight_.clear();
+  waited_requests_ = 0;
+  // Every parked waiter re-checks: a caller finds its requests failed, a
+  // window waiter finds its epoch gone.
+  for (Waiter* w : parked_) {
+    w->parked = false;
+    w->cv.notify_one();
+  }
+  parked_.clear();
   writer_cv_.notify_all();
   reader_cv_.notify_all();
-  window_cv_.notify_all();
   return victims;
 }
 
-void TcpConnection::FailAll(std::deque<Completion>& victims,
+void TcpConnection::FailAll(std::vector<Completion>& victims,
                             const std::string& why) {
   for (auto& done : victims) done(Status(Code::kUnavailable, why), {});
   victims.clear();
@@ -319,9 +335,9 @@ Status TcpConnection::DialLocked() {
   SetTimeout(fd, SO_SNDTIMEO, options_.io_timeout);
 
   // HELLO: version exchange + instance selection, run synchronously on this
-  // thread *before* the epoch is published — the reader and writer threads
-  // never see handshake bytes. kAnyInstance asks for the server's default
-  // (what a v1 client would have gotten).
+  // thread *before* the epoch is published — no sender or reader-role
+  // holder ever sees handshake bytes. kAnyInstance asks for the server's
+  // default (what a v1 client would have gotten).
   std::string body;
   wire::PutU32(body, wire::kProtocolVersion);
   wire::PutU32(body, target_instance_);
@@ -383,33 +399,54 @@ Status TcpConnection::EnsureConnectedLocked() {
   return ConnectLocked();
 }
 
+Status TcpConnection::AdmitLocked(std::unique_lock<std::mutex>& lock,
+                                  Waiter& w) {
+  if (Status s = EnsureConnectedLocked(); !s.ok()) return s;
+  // Backpressure: wait for a window slot on *this* epoch. A teardown while
+  // we wait (sock_ changed or cleared) fails the request instead of silently
+  // enqueuing onto a different connection.
+  const size_t window = std::max<size_t>(1, options_.max_inflight);
+  const std::shared_ptr<Socket> sock = sock_;
+  if (inflight_.size() >= window) {
+    w.wants_slot = true;
+    WaitLocked(lock, w, [&] {
+      return shutdown_ || sock_ != sock || inflight_.size() < window;
+    });
+    w.wants_slot = false;
+  }
+  if (shutdown_ || sock_ != sock) {
+    return Status(Code::kUnavailable, "connection dropped");
+  }
+  return Status::Ok();
+}
+
+void TcpConnection::QueueLocked(std::string frame, Request req) {
+  send_queue_.push_back(std::move(frame));
+  if (req.waiter != nullptr) {
+    ++req.waiter->pending;
+    ++waited_requests_;
+  }
+  inflight_.push_back(std::move(req));
+}
+
 void TcpConnection::SubmitAsync(wire::Op op, std::string_view body,
                                 Completion done) {
-  const size_t window = std::max<size_t>(1, options_.max_inflight);
+  std::string frame;
+  wire::AppendRequest(frame, op, body);
   std::unique_lock<std::mutex> lock(mu_);
-  if (Status s = EnsureConnectedLocked(); !s.ok()) {
+  Waiter w;
+  w.may_lead = false;
+  if (Status s = AdmitLocked(lock, w); !s.ok()) {
     lock.unlock();
     done(std::move(s), {});
     return;
   }
-  // Backpressure: wait for a window slot on *this* epoch. A teardown while
-  // we wait (sock_ changed or cleared) fails the request instead of silently
-  // enqueuing onto a different connection.
-  const std::shared_ptr<Socket> sock = sock_;
-  window_cv_.wait(lock, [&] {
-    return shutdown_ || sock_ != sock || inflight_.size() < window;
-  });
-  if (shutdown_ || sock_ != sock) {
-    lock.unlock();
-    done(Status(Code::kUnavailable, "connection dropped"), {});
-    return;
-  }
-  std::string frame;
-  wire::AppendRequest(frame, op, body);
-  send_queue_.push_back(std::move(frame));
-  inflight_.push_back(std::move(done));
-  writer_cv_.notify_one();
-  reader_cv_.notify_one();
+  QueueLocked(std::move(frame), Request{std::move(done)});
+  // No caller waits for this frame, so the background threads carry it. A
+  // thread already in sendmsg drains the queue before it lets go, and a
+  // caller holding the reader role hands it on when it is done.
+  if (!sending_) writer_cv_.notify_one();
+  if (!reading_ && BackgroundReadsLocked()) reader_cv_.notify_one();
 }
 
 void TcpConnection::AddPushHandler(PushHandler handler) {
@@ -423,29 +460,220 @@ void TcpConnection::AddPushHandler(PushHandler handler) {
   reader_cv_.notify_one();
 }
 
-void TcpConnection::WriterLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    writer_cv_.wait(lock, [&] {
-      return shutdown_ || (sock_ != nullptr && !send_queue_.empty());
-    });
-    if (shutdown_) return;
+template <typename Ready>
+void TcpConnection::WaitLocked(std::unique_lock<std::mutex>& lock, Waiter& w,
+                               Ready ready) {
+  while (!ready()) {
+    if (w.may_lead) {
+      // About to block: put every queued frame on the wire first.
+      FlushLocked(lock);
+      if (ready()) return;
+      if (!reading_ && !push_interest_ && sock_ != nullptr &&
+          !inflight_.empty()) {
+        LeadLocked(lock, ready);
+        continue;
+      }
+    }
+    // Every event that can satisfy `ready` or free the reader role unparks
+    // the waiter it concerns, so a wakeup that leaves us parked is spurious.
+    w.parked = true;
+    parked_.push_back(&w);
+    while (w.parked) w.cv.wait(lock);
+  }
+}
+
+void TcpConnection::WakeLocked(Waiter* w) {
+  if (!w->parked) return;
+  w->parked = false;
+  parked_.erase(std::find(parked_.begin(), parked_.end(), w));
+  w->cv.notify_one();
+}
+
+void TcpConnection::FlushLocked(std::unique_lock<std::mutex>& lock) {
+  // Write coalescing, zero-copy: take every frame queued so far and push the
+  // whole set through one gathered sendmsg(2). The role holder loops until
+  // the queue is empty, so frames queued while it was in sendmsg leave in
+  // queue order right behind the ones it took.
+  while (!sending_ && sock_ != nullptr && !send_queue_.empty()) {
+    sending_ = true;
     const std::shared_ptr<Socket> sock = sock_;
-    // Write coalescing, zero-copy: take every frame queued since the last
-    // wakeup and push the whole set through one gathered sendmsg(2) — under
-    // load, many small frames ride one syscall (and one TCP segment, with
-    // TCP_NODELAY) without ever being memcpy'd into a contiguous buffer.
-    std::deque<std::string> out;
-    out.swap(send_queue_);
+    sending_frames_.swap(send_queue_);
     lock.unlock();
-    const Status s = SendFramesFd(sock->fd, out);
+    const Status s = SendFramesFd(sock->fd, sending_frames_);
+    sending_frames_.clear();
     lock.lock();
+    sending_ = false;
     if (!s.ok() && sock_ == sock) {
-      auto victims = TearLocked();
+      auto victims = TearLocked(s.message());
       lock.unlock();
       FailAll(victims, s.message());
       lock.lock();
     }
+  }
+}
+
+bool TcpConnection::BackgroundReadsLocked() const {
+  return push_interest_ || (waited_requests_ == 0 && !inflight_.empty());
+}
+
+void TcpConnection::HandOffReaderLocked() {
+  if (!push_interest_) {
+    for (Waiter* w : parked_) {
+      if (w->may_lead) {
+        WakeLocked(w);
+        return;
+      }
+    }
+  }
+  if (BackgroundReadsLocked()) reader_cv_.notify_one();
+}
+
+void TcpConnection::FinishLocked(std::unique_lock<std::mutex>& lock,
+                                 Request req, Status s, std::string body) {
+  if (req.waiter == nullptr) {
+    lock.unlock();
+    req.done(std::move(s), std::move(body));
+    lock.lock();
+    return;
+  }
+  req.reply->status = std::move(s);
+  req.reply->body = std::move(body);
+  --waited_requests_;
+  if (--req.waiter->pending == 0) WakeLocked(req.waiter);
+}
+
+template <typename Stop>
+void TcpConnection::LeadLocked(std::unique_lock<std::mutex>& lock, Stop stop) {
+  reading_ = true;
+  const std::shared_ptr<Socket> sock = sock_;
+  // Drain responses while this epoch stays current and the role holder has
+  // a reason to read. Responses match requests by position (FIFO per
+  // connection, docs/PROTOCOL.md §10.6). Under push interest the background
+  // reader keeps pumping even with an empty window, so unsolicited frames
+  // arrive promptly.
+  while (!shutdown_ && sock_ == sock) {
+    size_t consumed = 0;
+    uint8_t tag = 0;
+    std::string_view view;
+    const wire::DecodeResult r =
+        wire::DecodeFrame(sock->recv_buf, &consumed, &tag, &view);
+    if (r == wire::DecodeResult::kFrame) {
+      std::string body(view);
+      sock->recv_buf.erase(0, consumed);
+      if (wire::IsPushTag(tag)) {
+        // Unsolicited server push: route out of band; the response FIFO
+        // is untouched.
+        const auto handlers = push_handlers_;
+        lock.unlock();
+        if (handlers != nullptr) {
+          for (const PushHandler& h : *handlers) h(tag, body);
+        }
+        lock.lock();
+        continue;
+      }
+      if (inflight_.empty()) {
+        // A response-tagged frame with nothing in flight (only reachable
+        // in push-interest mode): the server desynced; drop the
+        // connection rather than mis-match a future request.
+        auto victims = TearLocked("unsolicited response frame");
+        lock.unlock();
+        FailAll(victims, "unsolicited response frame");
+        lock.lock();
+        break;
+      }
+      Request req = std::move(inflight_.front());
+      inflight_.pop_front();
+      // One slot freed: one window waiter may submit.
+      for (Waiter* w : parked_) {
+        if (w->wants_slot) {
+          WakeLocked(w);
+          break;
+        }
+      }
+      const Code code = wire::CodeFromWire(tag);
+      if (code == Code::kOk) {
+        FinishLocked(lock, std::move(req), Status::Ok(), std::move(body));
+      } else {
+        FinishLocked(lock, std::move(req), StatusFromError(code, body), {});
+      }
+      continue;
+    }
+    if (r == wire::DecodeResult::kMalformed) {
+      // The stream is unparseable; attribute the malformed frame to the
+      // oldest in-flight request and drop everything behind it.
+      if (!inflight_.empty()) {
+        Request first = std::move(inflight_.front());
+        inflight_.pop_front();
+        FinishLocked(lock, std::move(first),
+                     Status(Code::kInternal, "malformed response frame"), {});
+      }
+      if (sock_ == sock) {
+        auto victims = TearLocked("connection dropped after malformed frame");
+        lock.unlock();
+        FailAll(victims, "connection dropped after malformed frame");
+        lock.lock();
+      }
+      break;
+    }
+    // kNeedMore. Every complete frame already received has been delivered,
+    // so the callers it answered wake at once rather than each in turn
+    // after a role handoff; only now may the holder stop.
+    if (stop()) break;
+    // Block in recv with the lock released so submitters and Disconnect()
+    // stay unblocked; ShutdownBoth() interrupts the call.
+    lock.unlock();
+    char chunk[64 * 1024];
+    const ssize_t n = ::recv(sock->fd, chunk, sizeof(chunk), 0);
+    const int recv_errno = errno;
+    lock.lock();
+    if (sock_ != sock) break;  // torn down while we were blocked
+    if (n > 0) {
+      sock->recv_buf.append(chunk, static_cast<size_t>(n));
+      continue;
+    }
+    if (n < 0 && recv_errno == EINTR) continue;
+    if (n < 0 && (recv_errno == EAGAIN || recv_errno == EWOULDBLOCK) &&
+        inflight_.empty()) {
+      // Idle push-interest poll: SO_RCVTIMEO expired with no response
+      // owed and no partial frame at risk — keep listening.
+      continue;
+    }
+    errno = recv_errno;
+    Status err;
+    if (n == 0) {
+      err = Status(Code::kUnavailable, "server closed connection");
+    } else if (recv_errno == EAGAIN || recv_errno == EWOULDBLOCK) {
+      // SO_RCVTIMEO expired with responses outstanding — possibly mid-
+      // frame (partial bytes buffered). The reader cannot tell a stalled
+      // peer from a dead one, and resuming this stream later would
+      // desync the FIFO, so the timeout is connection-fatal: fail the
+      // whole in-flight window and force a redial.
+      err = Status(Code::kUnavailable,
+                   "recv timed out awaiting response (" +
+                       std::to_string(sock->recv_buf.size()) +
+                       " bytes of a frame buffered); dropping connection");
+    } else {
+      err = SocketError("recv");
+    }
+    auto victims = TearLocked(err.message());
+    lock.unlock();
+    FailAll(victims, err.message());
+    lock.lock();
+    break;
+  }
+  reading_ = false;
+  HandOffReaderLocked();
+}
+
+void TcpConnection::WriterLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    writer_cv_.wait(lock, [&] {
+      return shutdown_ ||
+             (sock_ != nullptr && !sending_ && !send_queue_.empty());
+    });
+    if (shutdown_) return;
+    FlushLocked(lock);
   }
 }
 
@@ -454,142 +682,26 @@ void TcpConnection::ReaderLoop() {
   for (;;) {
     reader_cv_.wait(lock, [&] {
       return shutdown_ ||
-             (sock_ != nullptr && (!inflight_.empty() || push_interest_));
+             (sock_ != nullptr && !reading_ && BackgroundReadsLocked());
     });
     if (shutdown_) return;
-    const std::shared_ptr<Socket> sock = sock_;
-    // Drain responses while this epoch stays current and requests are in
-    // flight. Responses match requests by position (FIFO per connection,
-    // docs/PROTOCOL.md §10.6). Under push interest the reader keeps pumping
-    // even with an empty window, so unsolicited frames arrive promptly.
-    while (!shutdown_ && sock_ == sock &&
-           (!inflight_.empty() || push_interest_)) {
-      size_t consumed = 0;
-      uint8_t tag = 0;
-      std::string_view view;
-      const wire::DecodeResult r =
-          wire::DecodeFrame(sock->recv_buf, &consumed, &tag, &view);
-      if (r == wire::DecodeResult::kFrame) {
-        std::string body(view);
-        sock->recv_buf.erase(0, consumed);
-        if (wire::IsPushTag(tag)) {
-          // Unsolicited server push: route out of band; the response FIFO
-          // is untouched.
-          const auto handlers = push_handlers_;
-          lock.unlock();
-          if (handlers != nullptr) {
-            for (const PushHandler& h : *handlers) h(tag, body);
-          }
-          lock.lock();
-          continue;
-        }
-        if (inflight_.empty()) {
-          // A response-tagged frame with nothing in flight (only reachable
-          // in push-interest mode): the server desynced; drop the
-          // connection rather than mis-match a future request.
-          auto victims = TearLocked();
-          lock.unlock();
-          FailAll(victims, "unsolicited response frame");
-          lock.lock();
-          break;
-        }
-        Completion done = std::move(inflight_.front());
-        inflight_.pop_front();
-        window_cv_.notify_one();
-        lock.unlock();
-        CompleteFromFrame(done, tag, std::move(body));
-        lock.lock();
-        continue;
-      }
-      if (r == wire::DecodeResult::kMalformed) {
-        // The stream is unparseable; attribute the malformed frame to the
-        // oldest in-flight request and drop everything behind it.
-        auto victims = TearLocked();
-        lock.unlock();
-        if (!victims.empty()) {
-          Completion first = std::move(victims.front());
-          victims.pop_front();
-          first(Status(Code::kInternal, "malformed response frame"), {});
-        }
-        FailAll(victims, "connection dropped after malformed frame");
-        lock.lock();
-        break;
-      }
-      // kNeedMore: block in recv with the lock released so submitters and
-      // Disconnect() stay unblocked; ShutdownBoth() interrupts the call.
-      lock.unlock();
-      char chunk[64 * 1024];
-      const ssize_t n = ::recv(sock->fd, chunk, sizeof(chunk), 0);
-      const int recv_errno = errno;
-      lock.lock();
-      if (sock_ != sock) break;  // torn down while we were blocked
-      if (n > 0) {
-        sock->recv_buf.append(chunk, static_cast<size_t>(n));
-        continue;
-      }
-      if (n < 0 && recv_errno == EINTR) continue;
-      if (n < 0 && (recv_errno == EAGAIN || recv_errno == EWOULDBLOCK) &&
-          inflight_.empty()) {
-        // Idle push-interest poll: SO_RCVTIMEO expired with no response
-        // owed and no partial frame at risk — keep listening.
-        continue;
-      }
-      errno = recv_errno;
-      Status err;
-      if (n == 0) {
-        err = Status(Code::kUnavailable, "server closed connection");
-      } else if (recv_errno == EAGAIN || recv_errno == EWOULDBLOCK) {
-        // SO_RCVTIMEO expired with responses outstanding — possibly mid-
-        // frame (partial bytes buffered). The reader cannot tell a stalled
-        // peer from a dead one, and resuming this stream later would
-        // desync the FIFO, so the timeout is connection-fatal: fail the
-        // whole in-flight window and force a redial.
-        err = Status(Code::kUnavailable,
-                     "recv timed out awaiting response (" +
-                         std::to_string(sock->recv_buf.size()) +
-                         " bytes of a frame buffered); dropping connection");
-      } else {
-        err = SocketError("recv");
-      }
-      auto victims = TearLocked();
-      lock.unlock();
-      FailAll(victims, err.message());
-      lock.lock();
-      break;
-    }
+    LeadLocked(lock, [&] { return !BackgroundReadsLocked(); });
   }
-}
-
-void TcpConnection::CompleteFromFrame(const Completion& done, uint8_t tag,
-                                      std::string body) {
-  const Code code = wire::CodeFromWire(tag);
-  if (code == Code::kOk) {
-    done(Status::Ok(), std::move(body));
-    return;
-  }
-  done(StatusFromError(code, body), {});
 }
 
 Status TcpConnection::TransactOnce(wire::Op op, std::string_view body,
                                    std::string* resp_body) {
-  struct Waiter {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status = Status::Ok();
-    std::string body;
-  } w;
-  SubmitAsync(op, body, [&w](Status s, std::string b) {
-    std::lock_guard<std::mutex> lk(w.mu);
-    w.status = std::move(s);
-    w.body = std::move(b);
-    w.done = true;
-    w.cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lk(w.mu);
-  w.cv.wait(lk, [&] { return w.done; });
-  if (resp_body != nullptr) *resp_body = std::move(w.body);
-  return w.status;
+  std::string frame;
+  wire::AppendRequest(frame, op, body);
+  BatchResponse reply;
+  Waiter w;
+  std::unique_lock<std::mutex> lock(mu_);
+  if (Status s = AdmitLocked(lock, w); !s.ok()) return s;
+  QueueLocked(std::move(frame), Request{{}, &w, &reply});
+  WaitLocked(lock, w, [&] { return w.pending == 0; });
+  lock.unlock();
+  if (resp_body != nullptr) *resp_body = std::move(reply.body);
+  return reply.status;
 }
 
 Duration TcpConnection::BackoffBeforeAttempt(const RetryPolicy& policy,
@@ -652,21 +764,21 @@ std::vector<TcpConnection::BatchResponse> TcpConnection::TransactBatch(
     const std::vector<BatchRequest>& reqs) {
   std::vector<BatchResponse> out(reqs.size());
   if (reqs.empty()) return out;
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t pending = reqs.size();
+  Waiter w;
+  std::unique_lock<std::mutex> lock(mu_);
   for (size_t i = 0; i < reqs.size(); ++i) {
-    // Submissions past the window block until earlier responses free slots,
-    // so arbitrarily large batches stream through without growing the queue.
-    SubmitAsync(reqs[i].op, reqs[i].body, [&, i](Status s, std::string b) {
-      std::lock_guard<std::mutex> lk(mu);
+    // Past the window, admission waits (reading responses itself when no
+    // other thread is), so arbitrarily large batches stream through
+    // without growing the queue.
+    if (Status s = AdmitLocked(lock, w); !s.ok()) {
       out[i].status = std::move(s);
-      out[i].body = std::move(b);
-      if (--pending == 0) cv.notify_one();
-    });
+      continue;
+    }
+    std::string frame;
+    wire::AppendRequest(frame, reqs[i].op, reqs[i].body);
+    QueueLocked(std::move(frame), Request{{}, &w, &out[i]});
   }
-  std::unique_lock<std::mutex> lk(mu);
-  cv.wait(lk, [&] { return pending == 0; });
+  WaitLocked(lock, w, [&] { return w.pending == 0; });
   return out;
 }
 

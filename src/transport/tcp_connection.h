@@ -4,14 +4,33 @@
 // A connection dials, runs the HELLO handshake (naming the target instance
 // when the server hosts several), and then carries a *pipelined* request
 // stream: callers enqueue (frame, completion) pairs into a bounded in-flight
-// window, a writer thread coalesces everything pending into one send(2), and
-// a reader thread drains responses, completing callers strictly in FIFO
-// order. Response frames carry a status code, not a correlation id, so FIFO
-// completion is the protocol's matching rule — sound because a geminid
-// processes each connection's frames sequentially and replies in submission
-// order (docs/PROTOCOL.md §10.6). Any number of backends — a GeminiClient's
+// window and responses complete them strictly in FIFO order. Response frames
+// carry a status code, not a correlation id, so FIFO completion is the
+// protocol's matching rule — sound because a geminid processes each
+// connection's frames sequentially and replies in submission order
+// (docs/PROTOCOL.md §10.6). Any number of backends — a GeminiClient's
 // per-instance backend, a recovery worker's, a flusher's — multiplex one
 // socket without waiting on each other's round trips.
+//
+// I/O is caller-driven. A thread that is about to block on the connection
+// (Transact, TransactBatch) does its own socket work instead of handing it
+// to a helper thread:
+//  - Sending: it flushes the whole send queue — its own frames and any
+//    queued before them — through one gathered sendmsg(2) just before it
+//    blocks. One thread at a time holds the sending role, so wire order is
+//    queue order; a sender drains frames queued meanwhile before it lets go.
+//  - Reading: while requests are in flight exactly one thread holds the
+//    reader role. A waiting caller takes it when it is free, then recv()s
+//    and completes responses in FIFO order until its own have arrived and
+//    no received frame is left undecoded, waking only the callers whose
+//    responses it completed (one condition variable per waiter). On
+//    release it hands the role to a parked waiter, or to the background
+//    reader once only asynchronous requests remain.
+// Two background threads serve the frames no caller waits for: a writer
+// flushes SubmitAsync frames (coalescing whatever queued up while it woke),
+// and a reader completes SubmitAsync responses. A connection with push
+// interest (AddPushHandler) keeps the background reader on every response,
+// so pushes arrive on an idle socket.
 //
 // Sharing is per (host, port, instance): Acquire() hands out a
 // process-wide shared connection for the triple, creating it lazily and
@@ -95,24 +114,31 @@ class TcpConnection {
   enum class BreakerState : uint8_t { kClosed, kOpen, kHalfOpen };
 
   /// Completion of one submitted request: the response status and, for kOk,
-  /// the response body. Invoked exactly once, on the reader thread (or on
-  /// the submitting thread when the request fails before being enqueued) —
-  /// keep it cheap and never call back into this connection from inside.
+  /// the response body. Invoked exactly once, never with the connection's
+  /// lock held, on whichever thread reads its response: the background
+  /// reader, or a Transact caller that holds the reader role while it waits
+  /// for its own response. A request that fails before it is enqueued
+  /// completes on the submitting thread; a teardown completes it on the
+  /// thread that tore the connection down. Keep it cheap and never call
+  /// back into this connection from inside.
   using Completion = std::function<void(Status, std::string)>;
 
   /// Handler for unsolicited server pushes (frames whose tag satisfies
   /// wire::IsPushTag — e.g. configuration pushes after a kCoordConfigWatch
-  /// subscription). Runs on the reader thread; keep it cheap and never call
-  /// back into this connection from inside. Push frames are not responses:
-  /// they bypass the FIFO response matching entirely (§10.6 unaffected).
+  /// subscription). Runs on the background reader thread; keep it cheap and
+  /// never call back into this connection from inside. Push frames are not
+  /// responses: they bypass the FIFO response matching entirely (§10.6
+  /// unaffected).
   using PushHandler = std::function<void(uint8_t tag, const std::string& body)>;
 
   /// Registers `handler` for every push frame this connection receives, for
   /// the connection's lifetime (there is no removal — holders of a shared
   /// connection each add their own handler and must outlive it, or capture
   /// weak state). Registering also switches the reader into push-interest
-  /// mode: it keeps draining the socket even with no request in flight, so
-  /// pushes arrive promptly on an otherwise idle connection.
+  /// mode: the background reader then reads every frame (callers no longer
+  /// take the reader role) and keeps draining the socket even with no
+  /// request in flight, so pushes arrive promptly on an otherwise idle
+  /// connection.
   void AddPushHandler(PushHandler handler);
 
   /// One request of a pipelined batch.
@@ -180,16 +206,20 @@ class TcpConnection {
   /// Submits one request into the pipeline (connecting first if needed) and
   /// returns once it occupies a window slot; `done` fires when its response
   /// arrives, in FIFO order with every other submission. Blocks while the
-  /// window is full. On connection loss `done` fires with kUnavailable.
+  /// window is full. On connection loss `done` fires with kUnavailable. The
+  /// background writer sends the frame, so bursts of submissions coalesce
+  /// into shared sendmsg(2) calls.
   void SubmitAsync(wire::Op op, std::string_view body, Completion done);
 
   /// One request/response round trip (connecting first if needed).
   /// `resp_body` receives the response payload of a kOk reply; a non-ok
   /// reply becomes the returned Status (message from the body blob).
-  /// Internally a SubmitAsync + wait, so concurrent callers pipeline
-  /// instead of serializing. When options().retry allows it and `op` is
-  /// idempotent, a kUnavailable outcome is transparently retried (redial +
-  /// re-send) within the policy's attempt and deadline budget.
+  /// Concurrent callers pipeline instead of serializing; the calling thread
+  /// sends its frame and, when no other thread is reading, reads the
+  /// responses itself (see the header comment). When options().retry
+  /// allows it and `op` is idempotent, a kUnavailable outcome is
+  /// transparently retried (redial + re-send) within the policy's attempt
+  /// and deadline budget.
   Status Transact(wire::Op op, std::string_view body,
                   std::string* resp_body);
 
@@ -203,10 +233,10 @@ class TcpConnection {
 
  private:
   /// One connection epoch: the fd plus the receive buffer of its response
-  /// stream. Epochs are immutable-identity objects handed to the reader and
-  /// writer via shared_ptr, so a reconnect (new epoch) can never mix two
-  /// sockets' bytes, and the fd is closed only when the last reference
-  /// drops — after every thread has stopped issuing syscalls on it.
+  /// stream. Epochs are immutable-identity objects handed to the I/O roles
+  /// via shared_ptr, so a reconnect (new epoch) can never mix two sockets'
+  /// bytes, and the fd is closed only when the last reference drops — after
+  /// every thread has stopped issuing syscalls on it.
   struct Socket {
     explicit Socket(int fd_in) : fd(fd_in) {}
     ~Socket();
@@ -215,9 +245,34 @@ class TcpConnection {
     void ShutdownBoth() const;
 
     const int fd;
-    /// Bytes received but not yet decoded. Only the reader thread touches
-    /// it while the epoch is current.
+    /// Bytes received but not yet decoded. Only the reader-role holder
+    /// touches it while the epoch is current.
     std::string recv_buf;
+  };
+
+  /// A thread blocked on this connection (it lives on that thread's stack).
+  /// Each waiter sleeps on its own condition variable, so a completion or a
+  /// role handoff wakes exactly the thread it concerns.
+  struct Waiter {
+    std::condition_variable cv;
+    /// This waiter's requests still in flight.
+    size_t pending = 0;
+    /// Blocked on a full window (woken when a slot frees).
+    bool wants_slot = false;
+    /// May take the reader role (false for SubmitAsync, whose responses the
+    /// background reader serves).
+    bool may_lead = true;
+    /// Listed in parked_ (asleep on cv, not yet woken).
+    bool parked = false;
+  };
+
+  /// One in-flight request, in FIFO order. A caller's request names its
+  /// Waiter and the slot its response lands in; an asynchronous one carries
+  /// its completion.
+  struct Request {
+    Completion done;
+    Waiter* waiter = nullptr;
+    BatchResponse* reply = nullptr;
   };
 
   Status ConnectLocked();
@@ -225,21 +280,48 @@ class TcpConnection {
   /// admits the attempt.
   Status DialLocked();
   Status EnsureConnectedLocked();
-  /// One SubmitAsync + wait round trip (the pre-retry Transact()).
+  /// One round trip on the calling thread (the pre-retry Transact()).
   Status TransactOnce(wire::Op op, std::string_view body,
                       std::string* resp_body);
-  /// Drops the current epoch and returns the completions (in-flight and
-  /// queued-unsent) the caller must fail with `why` AFTER unlocking.
-  std::deque<Completion> TearLocked();
+  /// Connects if needed and waits for a window slot on the current epoch.
+  Status AdmitLocked(std::unique_lock<std::mutex>& lock, Waiter& w);
+  /// Queues an encoded request frame and appends its request to inflight_.
+  void QueueLocked(std::string frame, Request req);
+  /// Blocks `w`'s thread until `ready()` holds. A waiter that may lead
+  /// flushes the send queue first and takes the reader role when it is
+  /// free; otherwise it parks until a completion, a freed slot or a role
+  /// handoff wakes it.
+  template <typename Ready>
+  void WaitLocked(std::unique_lock<std::mutex>& lock, Waiter& w, Ready ready);
+  /// Sends every queued frame unless another thread holds the sending role
+  /// (which then sends them). Tears the epoch down on a send error.
+  void FlushLocked(std::unique_lock<std::mutex>& lock);
+  /// Holds the reader role on the current epoch, receiving and completing
+  /// responses in FIFO order until `stop()` holds with no complete frame
+  /// left buffered, or the epoch ends; then hands the role on.
+  template <typename Stop>
+  void LeadLocked(std::unique_lock<std::mutex>& lock, Stop stop);
+  /// Passes the free reader role to the first parked waiter that may lead,
+  /// else to the background reader when it has work.
+  void HandOffReaderLocked();
+  /// True while the background reader should hold the reader role: push
+  /// interest, or only asynchronous requests in flight.
+  [[nodiscard]] bool BackgroundReadsLocked() const;
+  /// Completes `req` with (s, body): a caller's request under the lock, an
+  /// asynchronous completion with the lock released.
+  void FinishLocked(std::unique_lock<std::mutex>& lock, Request req, Status s,
+                    std::string body);
+  /// Unparks `w` (no-op when it is not parked).
+  void WakeLocked(Waiter* w);
+  /// Drops the current epoch, fails every caller's request with
+  /// (kUnavailable, why) and returns the asynchronous completions the caller
+  /// must fail with `why` AFTER unlocking.
+  std::vector<Completion> TearLocked(const std::string& why);
   /// Fails `victims` with (kUnavailable, why); call without holding mu_.
-  static void FailAll(std::deque<Completion>& victims, const std::string& why);
+  static void FailAll(std::vector<Completion>& victims, const std::string& why);
 
   void WriterLoop();
   void ReaderLoop();
-  /// Decodes one kOk/error response body into the Status/payload pair the
-  /// completion receives.
-  static void CompleteFromFrame(const Completion& done, uint8_t tag,
-                                std::string body);
 
   const std::string host_;
   const uint16_t port_;
@@ -256,26 +338,37 @@ class TcpConnection {
   int consecutive_dial_failures_ = 0;
   Timestamp breaker_open_until_ = 0;
   /// Encoded request frames accepted but not yet handed to the socket, one
-  /// string per frame. The writer swaps the whole deque out and sends it as
-  /// an iovec chain through one sendmsg(2), so every frame pending at wakeup
-  /// leaves in one syscall (write coalescing) with no coalescing memcpy.
+  /// string per frame. The sending-role holder swaps the whole deque out and
+  /// sends it as an iovec chain through one sendmsg(2), so every frame
+  /// pending at that moment leaves in one syscall (write coalescing) with no
+  /// coalescing memcpy.
   std::deque<std::string> send_queue_;
-  /// Completions of submitted requests, oldest first — the FIFO the reader
-  /// matches response frames against.
-  std::deque<Completion> inflight_;
+  /// The frames being sent; owned by the sending-role holder (kept as a
+  /// member so its storage is reused across flushes).
+  std::deque<std::string> sending_frames_;
+  /// Requests submitted and not yet answered, oldest first — the FIFO
+  /// responses are matched against.
+  std::deque<Request> inflight_;
+  /// Requests in inflight_ that a caller waits for.
+  size_t waited_requests_ = 0;
+  /// Waiters asleep on their own cv, in the order they parked.
+  std::vector<Waiter*> parked_;
+  /// The I/O roles: a thread is in sendmsg on the current queue / holds the
+  /// right to recv() and complete responses.
+  bool sending_ = false;
+  bool reading_ = false;
   /// Copy-on-write push handler list (guarded by mu_; the reader snapshots
   /// it and dispatches with mu_ released).
   std::shared_ptr<const std::vector<PushHandler>> push_handlers_;
-  /// True once any push handler exists: the reader then pumps the socket
-  /// even when inflight_ is empty, and an idle recv timeout is benign
-  /// instead of connection-fatal.
+  /// True once any push handler exists: the background reader then holds
+  /// the reader role for good and pumps the socket even when inflight_ is
+  /// empty, and an idle recv timeout is benign instead of connection-fatal.
   bool push_interest_ = false;
   bool shutdown_ = false;
   bool threads_started_ = false;
 
-  std::condition_variable writer_cv_;  // work for the writer / teardown
-  std::condition_variable reader_cv_;  // work for the reader / teardown
-  std::condition_variable window_cv_;  // a window slot freed / epoch died
+  std::condition_variable writer_cv_;  // async frames queued / teardown
+  std::condition_variable reader_cv_;  // background read work / teardown
 
   std::thread writer_;
   std::thread reader_;

@@ -282,19 +282,24 @@ TEST(ClusterStatsTest, StatsOpReportsServerCacheAndExtraCounters) {
   std::string resp;
   ASSERT_TRUE(conn.Transact(wire::Op::kSet, body, &resp).ok());
 
-  ASSERT_TRUE(conn.Transact(wire::Op::kStats, "", &resp).ok());
-  wire::Reader r(resp);
-  uint32_t count = 0;
-  ASSERT_TRUE(r.GetU32(&count));
-  std::map<std::string, uint64_t> stats;
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string_view name;
-    uint64_t value = 0;
-    ASSERT_TRUE(r.GetBlob(&name));
-    ASSERT_TRUE(r.GetU64(&value));
-    stats[std::string(name)] = value;
-  }
-  EXPECT_TRUE(r.Done());
+  const auto read_stats = [&conn] {
+    std::string resp;
+    EXPECT_TRUE(conn.Transact(wire::Op::kStats, "", &resp).ok());
+    wire::Reader r(resp);
+    uint32_t count = 0;
+    EXPECT_TRUE(r.GetU32(&count));
+    std::map<std::string, uint64_t> stats;
+    for (uint32_t i = 0; i < count; ++i) {
+      std::string_view name;
+      uint64_t value = 0;
+      EXPECT_TRUE(r.GetBlob(&name));
+      EXPECT_TRUE(r.GetU64(&value));
+      stats[std::string(name)] = value;
+    }
+    EXPECT_TRUE(r.Done());
+    return stats;
+  };
+  std::map<std::string, uint64_t> stats = read_stats();
 
   EXPECT_GE(stats["server.frames_handled"], 1u);
   EXPECT_EQ(stats["cache.inserts"], 1u);
@@ -303,6 +308,19 @@ TEST(ClusterStatsTest, StatsOpReportsServerCacheAndExtraCounters) {
   // PersistentStore counters without a transport -> persist dependency.
   EXPECT_EQ(stats["persist.journal_commits"], 7u);
   EXPECT_EQ(stats["persist.appended_bytes"], 4096u);
+
+  // The response-flush counters are exported raw (their ratio is the
+  // reader's to compute) and advance with traffic.
+  ASSERT_EQ(stats.count("transport.frames_flushed"), 1u);
+  ASSERT_EQ(stats.count("transport.flush_calls"), 1u);
+  EXPECT_EQ(stats.count("transport.frames_per_flush"), 0u);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(conn.Transact(wire::Op::kPing, "", &resp).ok());
+  }
+  const std::map<std::string, uint64_t> later = read_stats();
+  EXPECT_GE(later.at("transport.frames_flushed"),
+            stats["transport.frames_flushed"] + 3);
+  EXPECT_GT(later.at("transport.flush_calls"), stats["transport.flush_calls"]);
 }
 
 TEST(ClusterStatsTest, ServerStatsAccumulateAcrossRestart) {

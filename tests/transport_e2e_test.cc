@@ -11,7 +11,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -344,8 +346,11 @@ int RawConnect(uint16_t port) {
   return fd;
 }
 
-// Sends `bytes`, then reports true iff the server closed the connection
-// (recv sees EOF) instead of answering.
+// Sends `bytes`, then reports true iff the server dropped the connection
+// (recv sees EOF or a reset) instead of answering. Linux answers with RST
+// rather than FIN when the server closes a socket whose receive queue still
+// holds unread bytes, so ECONNRESET is the server dropping the connection
+// too; any other recv error is reported with its errno.
 bool SendAndExpectEof(uint16_t port, const std::string& bytes) {
   int fd = RawConnect(port);
   if (fd < 0) return false;
@@ -362,8 +367,13 @@ bool SendAndExpectEof(uint16_t port, const std::string& bytes) {
   ssize_t n;
   while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
   }
+  const int recv_errno = errno;
   ::close(fd);
-  return n == 0;
+  if (n == 0 || recv_errno == ECONNRESET) return true;
+  ADD_FAILURE() << "recv failed instead of seeing the connection dropped: "
+                << std::strerror(recv_errno) << " (errno " << recv_errno
+                << ")";
+  return false;
 }
 
 TEST_F(TransportE2eTest, GarbageFramesCloseConnectionServerSurvives) {

@@ -3,7 +3,11 @@
 // failure half of the contract — a mid-pipeline connection loss fails every
 // in-flight request with kUnavailable, Disconnect() interrupts blocked I/O
 // promptly, and an auto-reconnect never mismatches requests and responses
-// across sockets.
+// across sockets. The caller-driven I/O cases check the same contract when
+// waiting callers do their own sends and pass the reader role among
+// themselves: FIFO across role handoffs, asynchronous traffic with no
+// caller to read for it, teardown and io_timeout of a caller-led recv, and
+// pushes on a connection whose background reader reads everything.
 //
 // Two servers appear here: the real TransportServer (the geminid event
 // loop) for end-to-end behaviour, and StallServer — a hand-rolled wire
@@ -117,6 +121,12 @@ class StallServer {
     close_client_ = true;
   }
 
+  /// Client connections served and closed so far.
+  [[nodiscard]] size_t clients_closed() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return clients_closed_;
+  }
+
  private:
   void Run() {
     while (!stop_.load()) {
@@ -131,6 +141,7 @@ class StallServer {
       std::lock_guard<std::mutex> lock(mu_);
       close_client_ = false;
       pending_ = 0;  // responses owed to a closed connection are never sent
+      ++clients_closed_;
     }
   }
 
@@ -196,6 +207,7 @@ class StallServer {
   size_t requests_seen_ = 0;
   size_t pending_ = 0;
   size_t allowed_ = 0;
+  size_t clients_closed_ = 0;
   bool close_client_ = false;
 };
 
@@ -382,6 +394,84 @@ TEST(TransportPipelineTest, DisconnectFailsSubmitterBlockedOnWindow) {
   EXPECT_EQ(log.CountCode(Code::kUnavailable), 2u);
 }
 
+// ---- Caller-driven I/O: teardown and timeouts of a caller-led recv ----------
+
+TEST(TransportPipelineTest, DisconnectFailsLeaderAndFollowerThenRedials) {
+  StallServer server;
+  TcpConnection::Options opts;
+  opts.max_inflight = 8;
+  opts.io_timeout = Seconds(30);
+  TcpConnection conn("127.0.0.1", server.port(), wire::kAnyInstance, opts);
+  ASSERT_TRUE(conn.Connect().ok());
+
+  // The first caller takes the reader role and blocks in recv(); the second
+  // parks behind it; two asynchronous frames wait behind both.
+  Status led = Status::Ok();
+  Status followed = Status::Ok();
+  std::thread leader(
+      [&] { led = conn.Transact(wire::Op::kPing, {}, nullptr); });
+  ASSERT_TRUE(WaitFor([&] { return server.requests_seen() == 1; }));
+  std::thread follower(
+      [&] { followed = conn.Transact(wire::Op::kPing, {}, nullptr); });
+  ASSERT_TRUE(WaitFor([&] { return server.requests_seen() == 2; }));
+  CompletionLog log;
+  conn.SubmitAsync(wire::Op::kPing, {}, log.Slot());
+  conn.SubmitAsync(wire::Op::kPing, {}, log.Slot());
+  ASSERT_TRUE(WaitFor([&] { return server.requests_seen() == 4; }));
+
+  const auto t0 = steady_clock::now();
+  conn.Disconnect();
+  leader.join();
+  follower.join();
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      steady_clock::now() - t0);
+  EXPECT_LT(elapsed.count(), 2000) << "a caller stayed blocked in recv";
+  EXPECT_EQ(led.code(), Code::kUnavailable) << led.ToString();
+  EXPECT_EQ(followed.code(), Code::kUnavailable) << followed.ToString();
+  EXPECT_TRUE(WaitFor([&] { return log.count() == 2; }));
+  EXPECT_EQ(log.CountCode(Code::kUnavailable), 2u);
+  EXPECT_FALSE(conn.connected());
+
+  // Once the server has dropped the old socket, the next call redials and
+  // completes on a fresh FIFO.
+  ASSERT_TRUE(WaitFor([&] { return server.clients_closed() == 1; }));
+  server.AllowResponses(1);
+  EXPECT_TRUE(conn.Transact(wire::Op::kPing, {}, nullptr).ok());
+  EXPECT_EQ(server.requests_seen(), 5u);
+}
+
+TEST(TransportPipelineTest, IoTimeoutInCallerLedRecvFailsWholeWindow) {
+  StallServer server;
+  TcpConnection::Options opts;
+  opts.max_inflight = 8;
+  opts.io_timeout = Millis(500);
+  TcpConnection conn("127.0.0.1", server.port(), wire::kAnyInstance, opts);
+  ASSERT_TRUE(conn.Connect().ok());
+
+  Status led = Status::Ok();
+  Status followed = Status::Ok();
+  std::thread leader(
+      [&] { led = conn.Transact(wire::Op::kPing, {}, nullptr); });
+  ASSERT_TRUE(WaitFor([&] { return server.requests_seen() == 1; }));
+  CompletionLog log;
+  conn.SubmitAsync(wire::Op::kPing, {}, log.Slot());
+  conn.SubmitAsync(wire::Op::kPing, {}, log.Slot());
+  std::thread follower(
+      [&] { followed = conn.Transact(wire::Op::kPing, {}, nullptr); });
+
+  // No response ever comes: the leader's recv times out, and the timeout
+  // fails the whole window — the parked caller and the async frames too.
+  leader.join();
+  follower.join();
+  EXPECT_EQ(led.code(), Code::kUnavailable);
+  EXPECT_NE(led.message().find("timed out"), std::string::npos)
+      << led.ToString();
+  EXPECT_EQ(followed.code(), Code::kUnavailable) << followed.ToString();
+  EXPECT_TRUE(WaitFor([&] { return log.count() == 2; }));
+  EXPECT_EQ(log.CountCode(Code::kUnavailable), 2u);
+  EXPECT_FALSE(conn.connected());
+}
+
 // ---- End-to-end against the real server ------------------------------------
 
 class PipelineE2eTest : public ::testing::Test {
@@ -462,6 +552,180 @@ TEST_F(PipelineE2eTest, ConcurrentSubmittersNeverMismatchResponses) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+/// A kSet body for (key, value) under the internal context.
+std::string SetBody(const std::string& key, const std::string& value) {
+  std::string body;
+  wire::PutContext(body, kInternalCtx);
+  wire::PutKey(body, key);
+  wire::PutValue(body, CacheValue::OfData(value));
+  return body;
+}
+
+/// The value a kGet of `key` returns over `conn` ("<status>" on failure).
+std::string GetOver(TcpConnection& conn, const std::string& key) {
+  std::string body;
+  wire::PutContext(body, kInternalCtx);
+  wire::PutKey(body, key);
+  std::string resp;
+  if (Status s = conn.Transact(wire::Op::kGet, body, &resp); !s.ok()) {
+    return "<" + s.ToString() + ">";
+  }
+  wire::Reader r(resp);
+  CacheValue value;
+  if (!r.GetValue(&value) || !r.Done()) return "<malformed>";
+  return value.data;
+}
+
+TEST_F(PipelineE2eTest, CallersSharingOneConnectionMatchEveryReply) {
+  TcpConnection conn("127.0.0.1", server_->port(), wire::kAnyInstance,
+                     TcpConnection::Options{});
+  constexpr int kThreads = 4;
+  constexpr int kPairs = 1500;
+  constexpr int kPostEvery = 8;
+  // Each thread sets and reads back its own keys while all four share the
+  // socket, so the reader role changes hands constantly; every eighth pair
+  // also posts an asynchronous Set and reads that key straight back, which
+  // FIFO must order after the post whichever thread sends or reads it.
+  std::atomic<int> mismatches{0};
+  CompletionLog posts;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPairs; ++i) {
+        const std::string key = "t" + std::to_string(t) + "_k" +
+                                std::to_string(i % 64);
+        const std::string value = "v" + std::to_string(t) + "_" +
+                                  std::to_string(i);
+        if (!conn.Transact(wire::Op::kSet, SetBody(key, value), nullptr)
+                 .ok() ||
+            GetOver(conn, key) != value) {
+          mismatches.fetch_add(1);
+        }
+        if (i % kPostEvery == 0) {
+          const std::string posted = "t" + std::to_string(t) + "_post";
+          conn.SubmitAsync(wire::Op::kSet, SetBody(posted, value),
+                           posts.Slot());
+          if (GetOver(conn, posted) != value) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const size_t expected_posts = kThreads * ((kPairs + kPostEvery - 1) /
+                                            kPostEvery);
+  EXPECT_TRUE(WaitFor([&] { return posts.count() == expected_posts; }));
+  EXPECT_EQ(posts.CountCode(Code::kOk), expected_posts);
+}
+
+TEST_F(PipelineE2eTest, AsyncOnlyTrafficCompletesEveryCallback) {
+  TcpConnection::Options opts;
+  opts.max_inflight = 8;  // small, so the submitters block on the window
+  TcpConnection conn("127.0.0.1", server_->port(), wire::kAnyInstance, opts);
+  constexpr int kThreads = 2;
+  constexpr int kPosts = 2000;
+  // No caller ever waits on this connection: the background threads alone
+  // must send every frame and complete every callback.
+  CompletionLog log;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPosts; ++i) {
+        conn.SubmitAsync(wire::Op::kSet,
+                         SetBody("a" + std::to_string(t), std::to_string(i)),
+                         log.Slot());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_TRUE(WaitFor([&] { return log.count() == kThreads * kPosts; }));
+  EXPECT_EQ(log.CountCode(Code::kOk), static_cast<size_t>(kThreads * kPosts));
+  // Each thread's posts applied in order: the last one wins.
+  for (const char* key : {"a0", "a1"}) {
+    EXPECT_EQ(backend_->Get(kInternalCtx, key)->data,
+              std::to_string(kPosts - 1));
+  }
+}
+
+/// A control plane that subscribes every kCoordConfigWatch caller to pushes
+/// and answers every other control op with an empty kOk.
+class SubscribingControlPlane : public ControlPlane {
+ public:
+  Reply HandleControl(wire::Op op, std::string_view) override {
+    Reply reply;
+    reply.subscribe = op == wire::Op::kCoordConfigWatch;
+    return reply;
+  }
+};
+
+TEST(TransportPipelineTest, PushInterestConnectionDeliversPushesAmidTransacts) {
+  VirtualClock clock;
+  CacheInstance instance(0, &clock);
+  SubscribingControlPlane control;
+  TransportServer::Options sopts;
+  sopts.control = &control;
+  TransportServer server(&instance, sopts);
+  ASSERT_TRUE(server.Start().ok());
+
+  TcpConnection conn("127.0.0.1", server.port(), wire::kAnyInstance,
+                     TcpConnection::Options{});
+  std::mutex mu;
+  std::vector<std::string> pushes;
+  conn.AddPushHandler([&](uint8_t tag, const std::string& body) {
+    wire::Reader r(body);
+    std::string_view config;
+    if (tag != wire::kPushConfigTag || !r.GetBlob(&config)) return;
+    std::lock_guard<std::mutex> lock(mu);
+    pushes.emplace_back(config);
+  });
+  std::string watch;
+  wire::PutU64(watch, 0);
+  ASSERT_TRUE(conn.Transact(wire::Op::kCoordConfigWatch, watch, nullptr).ok());
+
+  // Callers keep the connection busy while the server interleaves pushes
+  // with their responses.
+  constexpr int kThreads = 2;
+  constexpr int kPairs = 300;
+  constexpr int kPushes = 100;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPairs; ++i) {
+        const std::string key = "p" + std::to_string(t);
+        const std::string value = std::to_string(i);
+        if (!conn.Transact(wire::Op::kSet, SetBody(key, value), nullptr)
+                 .ok() ||
+            GetOver(conn, key) != value) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int i = 0; i < kPushes; ++i) {
+    server.PushConfigToSubscribers("cfg" + std::to_string(i));
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  ASSERT_TRUE(WaitFor([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return pushes.size() == kPushes;
+  }));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    for (int i = 0; i < kPushes; ++i) {
+      EXPECT_EQ(pushes[i], "cfg" + std::to_string(i));
+    }
+  }
+  // An idle push-interest connection still receives pushes.
+  server.PushConfigToSubscribers("idle");
+  EXPECT_TRUE(WaitFor([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return pushes.size() == kPushes + 1 && pushes.back() == "idle";
+  }));
 }
 
 // ---- Posted fills (IqSet/IDelete without waiting) ---------------------------
