@@ -66,9 +66,9 @@ struct OpContext {
 inline constexpr ConfigId kInternalConfigId =
     std::numeric_limits<ConfigId>::max();
 
-/// One request of a MultiGet batch. The context travels per key because a
-/// batch may span fragments, and each key validates against its own
-/// fragment's lease and Rejig stamp.
+/// One request of a MultiGet or MultiIqGet batch. The context travels per
+/// key because a batch may span fragments, and each key validates against
+/// its own fragment's lease and Rejig stamp.
 struct GetRequest {
   OpContext ctx;
   std::string key;
@@ -144,6 +144,24 @@ class CacheBackend {
   /// Get; on miss, atomically acquire an I lease (or kBackoff).
   virtual Result<IqGetResult> IqGet(const OpContext& ctx,
                                     std::string_view key) = 0;
+
+  /// Batched lease read; results align with `reqs` by index, each the exact
+  /// outcome IqGet() would have produced had the requests run one after
+  /// another (so a key that appears twice misses with a token once, then
+  /// backs off). Every miss holds an I lease the caller must end — IqSet,
+  /// IDelete or PostFill — before it lapses (i_lease_lifetime), so callers
+  /// size bursts by how fast they can fill them. The base implementation
+  /// loops; TcpCacheBackend overrides it to issue the whole batch as one
+  /// in-flight burst. There is no retry: IqGet grants leases, so a replayed
+  /// slot could hand out a second token, and a slot lost to a connection
+  /// drop fails kUnavailable for the caller to re-run.
+  virtual std::vector<Result<IqGetResult>> MultiIqGet(
+      const std::vector<GetRequest>& reqs) {
+    std::vector<Result<IqGetResult>> out;
+    out.reserve(reqs.size());
+    for (const auto& req : reqs) out.push_back(IqGet(req.ctx, req.key));
+    return out;
+  }
 
   /// Insert if the I lease `token` is still valid, then release it.
   virtual Status IqSet(const OpContext& ctx, std::string_view key,

@@ -1,5 +1,6 @@
 #include "src/client/gemini_client.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/common/logging.h"
@@ -143,18 +144,13 @@ bool GeminiClient::WstActive(FragmentId fragment,
 
 // ---- Read -------------------------------------------------------------------
 
-size_t GeminiClient::WarmUp(Session& session,
-                            const std::vector<std::string>& keys) {
-  ConfigurationPtr cfg = EnsureConfig(session);
-  if (cfg == nullptr) return 0;
-
-  // Group probes by the replica the configuration routes each key to; every
-  // group becomes one MultiGet burst. Recovery-mode fragments are skipped —
-  // their reads must consult the dirty list (Algorithm 1), which the full
-  // Read() below does.
+std::unordered_map<InstanceId, std::vector<size_t>>
+GeminiClient::GroupByServingReplica(const Configuration& cfg,
+                                    const std::vector<std::string>& keys)
+    const {
   std::unordered_map<InstanceId, std::vector<size_t>> by_target;
   for (size_t i = 0; i < keys.size(); ++i) {
-    const FragmentAssignment& a = cfg->fragment(cfg->FragmentOf(keys[i]));
+    const FragmentAssignment& a = cfg.fragment(cfg.FragmentOf(keys[i]));
     InstanceId target = kInvalidInstance;
     switch (a.mode) {
       case FragmentMode::kNormal:
@@ -169,31 +165,57 @@ size_t GeminiClient::WarmUp(Session& session,
     if (target == kInvalidInstance || target >= instances_.size()) continue;
     by_target[target].push_back(i);
   }
+  return by_target;
+}
 
+size_t GeminiClient::WarmUp(Session& session,
+                            const std::vector<std::string>& keys) {
+  ConfigurationPtr cfg = EnsureConfig(session);
+  if (cfg == nullptr) return 0;
+
+  // Every burst of IqGets is both the probe and the lease grant: a hit is
+  // already cached, and a miss comes back holding its I token, so it goes
+  // straight to the store and posts its fill. A burst is capped so that its
+  // last token is filled well within the I lease lifetime even when the
+  // store is slow; a lapsed token drops its fill and leaves the key cold.
+  constexpr size_t kBurstKeys = 64;
   size_t already_cached = 0;
-  std::vector<bool> cached(keys.size(), false);
-  for (auto& [target, idxs] : by_target) {
-    std::vector<GetRequest> reqs;
-    reqs.reserve(idxs.size());
-    for (const size_t i : idxs) {
-      session.BillCacheOp(target);
-      reqs.push_back({OpContext{cfg->id(), cfg->FragmentOf(keys[i])},
-                      keys[i]});
-    }
-    auto results = instances_[target]->MultiGet(reqs);
-    for (size_t j = 0; j < idxs.size(); ++j) {
-      if (results[j].ok()) {
-        cached[idxs[j]] = true;
-        ++already_cached;
+  std::vector<bool> settled(keys.size(), false);
+  for (auto& [target, idxs] : GroupByServingReplica(*cfg, keys)) {
+    for (size_t base = 0; base < idxs.size(); base += kBurstKeys) {
+      const size_t end = std::min(idxs.size(), base + kBurstKeys);
+      std::vector<GetRequest> reqs;
+      reqs.reserve(end - base);
+      for (size_t j = base; j < end; ++j) {
+        session.BillCacheOp(target);
+        const std::string& key = keys[idxs[j]];
+        reqs.push_back({OpContext{cfg->id(), cfg->FragmentOf(key)}, key});
+      }
+      auto results = instances_[target]->MultiIqGet(reqs);
+      for (size_t j = 0; j < reqs.size(); ++j) {
+        if (!results[j].ok()) continue;
+        settled[idxs[base + j]] = true;
+        if (results[j]->value.has_value()) {
+          ++already_cached;
+          continue;
+        }
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          ++stats_.reads;
+        }
+        (void)FillFromStore(session, reqs[j].key, reqs[j].ctx.fragment, target,
+                            cfg->id(), results[j]->i_token);
       }
     }
   }
 
-  // Any key the probe missed — including probes bounced by a configuration
-  // change — takes the full read path, which refreshes the configuration,
-  // fills from the store under an I lease, and falls back as usual.
+  // Keys on recovery-mode fragments (their reads must consult the dirty
+  // list, Algorithm 1) and every slot the bursts failed — a lease collision,
+  // a configuration change, an unreachable replica — take the full read
+  // path, which backs off, refreshes the configuration and falls back as
+  // usual.
   for (size_t i = 0; i < keys.size(); ++i) {
-    if (!cached[i]) (void)Read(session, keys[i]);
+    if (!settled[i]) (void)Read(session, keys[i]);
   }
   return already_cached;
 }
@@ -203,30 +225,12 @@ size_t GeminiClient::InvalidateKeys(Session& session,
   ConfigurationPtr cfg = EnsureConfig(session);
   if (cfg == nullptr) return 0;
 
-  // Group by the replica the configuration routes each key to; every group
-  // becomes one pipelined MultiDelete frame. Recovery-mode fragments are
-  // skipped — their invalidations must arm the dirty list via the leased
-  // Write() path, which a token-less bulk delete cannot do.
-  std::unordered_map<InstanceId, std::vector<size_t>> by_target;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const FragmentAssignment& a = cfg->fragment(cfg->FragmentOf(keys[i]));
-    InstanceId target = kInvalidInstance;
-    switch (a.mode) {
-      case FragmentMode::kNormal:
-        target = a.primary;
-        break;
-      case FragmentMode::kTransient:
-        target = a.secondary;
-        break;
-      case FragmentMode::kRecovery:
-        break;
-    }
-    if (target == kInvalidInstance || target >= instances_.size()) continue;
-    by_target[target].push_back(i);
-  }
-
+  // Every replica's group becomes one pipelined MultiDelete frame.
+  // Recovery-mode fragments are skipped — their invalidations must arm the
+  // dirty list via the leased Write() path, which a token-less bulk delete
+  // cannot do.
   size_t dropped = 0;
-  for (auto& [target, idxs] : by_target) {
+  for (auto& [target, idxs] : GroupByServingReplica(*cfg, keys)) {
     std::vector<DeleteRequest> reqs;
     reqs.reserve(idxs.size());
     for (const size_t i : idxs) {

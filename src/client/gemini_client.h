@@ -154,12 +154,16 @@ class GeminiClient {
   Result<ReadResult> Read(Session& session, std::string_view key);
 
   /// Primes the cache for `keys` (e.g. after a client restart, or ahead of
-  /// an anticipated hot set). Probes the cluster with one batched MultiGet
-  /// per routed replica — over TCP each burst pipelines through the
-  /// connection's in-flight window instead of paying one round trip per
-  /// key — then runs the full Read() path only for the keys the probes did
-  /// not find. Returns how many keys were already cached. Probe lookups do
-  /// not count toward stats(); the fill-in Reads bill and count as usual.
+  /// an anticipated hot set). Sends each routed replica MultiIqGet bursts of
+  /// at most 64 keys — over TCP a burst pipelines through the connection's
+  /// in-flight window instead of paying one round trip per key. A hit is
+  /// already cached; a miss already holds its I lease, so it is filled from
+  /// the store straight away (store query, then a posted fill). Slots a
+  /// burst failed (lease collision, stale configuration, wrong or
+  /// unreachable replica) and keys on recovery-mode fragments take the full
+  /// Read() path. Returns how many keys were already cached. Hits do not
+  /// count toward stats(); a miss filled inline counts as a read and a
+  /// store read, like a Read() that misses.
   size_t WarmUp(Session& session, const std::vector<std::string>& keys);
 
   /// Drops the cache entries for `keys` (e.g. after a bulk store-side
@@ -222,6 +226,12 @@ class GeminiClient {
 
   // Returns the cached configuration, fetching it on first use.
   ConfigurationPtr EnsureConfig(Session& session);
+
+  // Indices of `keys` grouped by the replica `cfg` routes each to (the
+  // primary in normal mode, the secondary in transient mode). Keys on
+  // recovery-mode fragments, and keys routed nowhere, are left out.
+  std::unordered_map<InstanceId, std::vector<size_t>> GroupByServingReplica(
+      const Configuration& cfg, const std::vector<std::string>& keys) const;
 
   // Normal/transient read processing against one replica.
   Result<ReadResult> ReadViaReplica(Session& session, std::string_view key,

@@ -53,13 +53,12 @@ void Coordinator::SetConfigListener(
 }
 
 ConfigurationPtr Coordinator::GetConfiguration() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(published_mu_);
   return published_;
 }
 
 ConfigId Coordinator::latest_id() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return published_ ? published_->id() : 0;
+  return latest_id_.load(std::memory_order_acquire);
 }
 
 bool Coordinator::InstanceAvailableLocked(InstanceId id) const {
@@ -129,8 +128,12 @@ void Coordinator::PublishLocked(const std::vector<InstanceId>& impacted) {
   } else {
     for (InstanceId i : impacted) insert_into(i);
   }
-  published_ = std::move(config);
-  if (config_listener_) config_listener_(published_);
+  {
+    std::lock_guard<std::mutex> lock(published_mu_);
+    published_ = config;
+  }
+  latest_id_.store(config->id(), std::memory_order_release);
+  if (config_listener_) config_listener_(config);
 }
 
 void Coordinator::OnInstanceFailed(InstanceId failed) {

@@ -34,6 +34,7 @@
 // Thread-safe.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -238,7 +239,13 @@ class Coordinator : public CoordinatorService {
   std::function<void(const ConfigurationPtr&)> config_listener_;
   ConfigId next_config_id_ = 1;
   std::vector<FragmentState> fragments_;
+  /// The latest publish, readable without mu_: publishes and lease renewals
+  /// hold mu_ across one endpoint RPC per replica, and clients and heartbeat
+  /// replies must not queue behind them. Written under mu_ as well, so
+  /// publishes stay ordered.
+  mutable std::mutex published_mu_;
   ConfigurationPtr published_;
+  std::atomic<ConfigId> latest_id_{0};
   size_t round_robin_cursor_ = 0;
   uint64_t discarded_fragments_ = 0;
   uint64_t master_epoch_ = 0;

@@ -215,19 +215,20 @@ bool RecoveryWorker::StepWorkingSet(Session& session) {
 
   // Install the page hottest-first, in arm -> fetch -> fill chunks of
   // keys_per_step. The chunk bounds how long an armed I token sits idle:
-  // arming rides one round trip per key, so arming a whole page up front
-  // would let the tokens armed first expire (i_lease_lifetime) before their
-  // IqSet lands, silently dropping the tail of every large page. Within a
-  // chunk, IqGet-before-copy keeps every entry that survived the failure in
-  // place (a hit means the restored primary already has it — never clobber)
-  // and arms an I token on each miss; a client write racing the copy Qaregs
-  // the key, voiding the token, so the stale secondary value can never
-  // overwrite a fresher one (Lemma 4).
+  // the fills are one synchronous IqSet per key, so arming a whole page up
+  // front would let the tokens armed first expire (i_lease_lifetime) before
+  // their IqSet lands, silently dropping the tail of every large page.
+  // Within a chunk, IqGet-before-copy keeps every entry that survived the
+  // failure in place (a hit means the restored primary already has it —
+  // never clobber) and arms an I token on each miss; a client write racing
+  // the copy Qaregs the key, voiding the token, so the stale secondary
+  // value can never overwrite a fresher one (Lemma 4).
   struct Pending {
     const WorkingSetItem* item;
     LeaseToken token;
   };
   std::vector<Pending> pending;
+  std::vector<GetRequest> arms;
   std::vector<GetRequest> gets;
   for (size_t base = 0; base < page->items.size();
        base += options_.keys_per_step) {
@@ -243,12 +244,18 @@ bool RecoveryWorker::StepWorkingSet(Session& session) {
       }
     }
 
+    // One pipelined MultiIqGet arms the chunk on the primary.
+    arms.clear();
+    arms.reserve(end - base);
+    for (size_t j = base; j < end; ++j) {
+      session.BillCacheOp(t.primary);
+      arms.push_back({ctx, page->items[j].key});
+    }
+    auto armed = pr.MultiIqGet(arms);
     pending.clear();
     pending.reserve(end - base);
-    for (size_t j = base; j < end; ++j) {
-      const WorkingSetItem& item = page->items[j];
-      session.BillCacheOp(t.primary);
-      auto got = pr.IqGet(ctx, item.key);
+    for (size_t j = 0; j < armed.size(); ++j) {
+      const Result<IqGetResult>& got = armed[j];
       if (!got.ok()) {
         if (got.code() == Code::kBackoff) {
           // A client session holds a lease on this key — it is being
@@ -265,7 +272,7 @@ bool RecoveryWorker::StepWorkingSet(Session& session) {
         ++stats_.wst_keys_skipped;  // already warm in the primary
         continue;
       }
-      pending.push_back({&item, got->i_token});
+      pending.push_back({&page->items[base + j], got->i_token});
     }
 
     // One pipelined MultiGet for the chunk's misses.

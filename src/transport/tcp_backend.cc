@@ -33,16 +33,17 @@ Status TcpCacheBackend::Transact(wire::Op op, std::string_view body,
   return conn_->Transact(op, body, resp_body);
 }
 
-Status TcpCacheBackend::CheckKey(std::string_view key) {
+// ---- Op wrappers ------------------------------------------------------------
+
+namespace {
+
+/// Shared guard-rail: keys above the wire limit never leave the client.
+Status CheckKey(std::string_view key) {
   if (key.size() > wire::kMaxKeyLen) {
     return Status(Code::kInvalidArgument, "key exceeds wire limit");
   }
   return Status::Ok();
 }
-
-// ---- Op wrappers ------------------------------------------------------------
-
-namespace {
 
 /// Requests that carry `ctx | key` and nothing else.
 std::string CtxKeyBody(const OpContext& ctx, std::string_view key) {
@@ -61,16 +62,8 @@ std::string CtxKeyTokenBody(const OpContext& ctx, std::string_view key,
   return body;
 }
 
-}  // namespace
-
-Result<CacheValue> TcpCacheBackend::Get(const OpContext& ctx,
-                                        std::string_view key) {
-  if (Status s = CheckKey(key); !s.ok()) return s;
-  std::string resp;
-  if (Status s = Transact(wire::Op::kGet, CtxKeyBody(ctx, key), &resp);
-      !s.ok()) {
-    return s;
-  }
+/// GET response: `value`.
+Result<CacheValue> DecodeGet(std::string_view resp) {
   wire::Reader r(resp);
   CacheValue value;
   if (!r.GetValue(&value) || !r.Done()) {
@@ -79,85 +72,8 @@ Result<CacheValue> TcpCacheBackend::Get(const OpContext& ctx,
   return value;
 }
 
-std::vector<Result<CacheValue>> TcpCacheBackend::MultiGet(
-    const std::vector<GetRequest>& reqs) {
-  std::vector<Result<CacheValue>> out;
-  out.reserve(reqs.size());
-  std::vector<TcpConnection::BatchRequest> batch;
-  batch.reserve(reqs.size());
-  std::vector<size_t> slot_of;  // out index of each submitted request
-  for (const auto& req : reqs) {
-    if (Status s = CheckKey(req.key); !s.ok()) {
-      // Oversized keys never leave the client; their slots fail locally and
-      // the rest of the batch still ships.
-      out.push_back(std::move(s));
-      continue;
-    }
-    out.push_back(Status(Code::kInternal, "no response"));
-    slot_of.push_back(out.size() - 1);
-    batch.push_back({wire::Op::kGet, CtxKeyBody(req.ctx, req.key)});
-  }
-  const auto fill_slot = [](Result<CacheValue>& slot,
-                            TcpConnection::BatchResponse& resp) {
-    if (!resp.status.ok()) {
-      slot = std::move(resp.status);
-      return;
-    }
-    wire::Reader r(resp.body);
-    CacheValue value;
-    if (!r.GetValue(&value) || !r.Done()) {
-      slot = Status(Code::kInternal, "malformed GET response");
-    } else {
-      slot = std::move(value);
-    }
-  };
-
-  const RetryPolicy& policy = options().retry;
-  const Timestamp start = SystemClock::Global().Now();
-  std::vector<TcpConnection::BatchResponse> resps = conn_->TransactBatch(batch);
-  for (size_t i = 0; i < resps.size(); ++i) {
-    fill_slot(out[slot_of[i]], resps[i]);
-  }
-
-  // Gets are idempotent, so kUnavailable slots (a connection drop failed
-  // part or all of the burst) are re-batched together and retried under the
-  // same attempt/backoff/deadline budget a single Get would get.
-  for (int attempt = 2; attempt <= policy.max_attempts; ++attempt) {
-    std::vector<size_t> failed;  // indices into batch/slot_of
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const Result<CacheValue>& slot = out[slot_of[i]];
-      if (!slot.ok() && slot.status().code() == Code::kUnavailable) {
-        failed.push_back(i);
-      }
-    }
-    if (failed.empty()) break;
-    const Duration elapsed = SystemClock::Global().Now() - start;
-    const Duration sleep = TcpConnection::BackoffBeforeAttempt(
-        policy, attempt, elapsed, Fnv1a64("multiget") ^ failed.size());
-    if (sleep < 0) break;  // deadline budget exhausted
-    if (sleep > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(sleep));
-    }
-    std::vector<TcpConnection::BatchRequest> retry_batch;
-    retry_batch.reserve(failed.size());
-    for (size_t i : failed) retry_batch.push_back(batch[i]);
-    std::vector<TcpConnection::BatchResponse> retry_resps =
-        conn_->TransactBatch(retry_batch);
-    for (size_t j = 0; j < retry_resps.size(); ++j) {
-      fill_slot(out[slot_of[failed[j]]], retry_resps[j]);
-    }
-  }
-  return out;
-}
-
-Result<IqGetResult> TcpCacheBackend::IqGet(const OpContext& ctx,
-                                           std::string_view key) {
-  if (Status s = CheckKey(key); !s.ok()) return s;
-  std::string resp;
-  if (Status s = Transact(wire::Op::kIqGet, CtxKeyBody(ctx, key), &resp);
-      !s.ok()) {
-    return s;
-  }
+/// IQGET response: `u8 hit | [value] | u64 i_token`.
+Result<IqGetResult> DecodeIqGet(std::string_view resp) {
   wire::Reader r(resp);
   uint8_t hit = 0;
   IqGetResult out;
@@ -173,6 +89,120 @@ Result<IqGetResult> TcpCacheBackend::IqGet(const OpContext& ctx,
   }
   out.i_token = token;
   return out;
+}
+
+/// One pipelined burst of `ctx | key` requests and its per-slot results.
+template <typename T>
+struct Burst {
+  std::vector<Result<T>> out;  // one slot per request
+  std::vector<TcpConnection::BatchRequest> batch;  // the shipped requests
+  std::vector<size_t> slot_of;  // out index of each shipped request
+};
+
+/// Settles one burst slot: the reply's error, or its decoded body.
+template <typename T>
+void FillSlot(Result<T>& slot, TcpConnection::BatchResponse& resp,
+              Result<T> (*decode)(std::string_view)) {
+  if (resp.status.ok()) {
+    slot = decode(resp.body);
+  } else {
+    slot = std::move(resp.status);
+  }
+}
+
+/// Ships `reqs` as `op` frames in one TransactBatch burst and decodes every
+/// reply into its slot.
+template <typename T>
+Burst<T> SendBurst(TcpConnection& conn, wire::Op op,
+                   const std::vector<GetRequest>& reqs,
+                   Result<T> (*decode)(std::string_view)) {
+  Burst<T> b;
+  b.out.reserve(reqs.size());
+  b.batch.reserve(reqs.size());
+  for (const auto& req : reqs) {
+    if (Status s = CheckKey(req.key); !s.ok()) {
+      // Oversized keys never leave the client; their slots fail locally and
+      // the rest of the batch still ships.
+      b.out.push_back(std::move(s));
+      continue;
+    }
+    b.out.push_back(Status(Code::kInternal, "no response"));
+    b.slot_of.push_back(b.out.size() - 1);
+    b.batch.push_back({op, CtxKeyBody(req.ctx, req.key)});
+  }
+  std::vector<TcpConnection::BatchResponse> resps = conn.TransactBatch(b.batch);
+  for (size_t i = 0; i < resps.size(); ++i) {
+    FillSlot(b.out[b.slot_of[i]], resps[i], decode);
+  }
+  return b;
+}
+
+}  // namespace
+
+Result<CacheValue> TcpCacheBackend::Get(const OpContext& ctx,
+                                        std::string_view key) {
+  if (Status s = CheckKey(key); !s.ok()) return s;
+  std::string resp;
+  if (Status s = Transact(wire::Op::kGet, CtxKeyBody(ctx, key), &resp);
+      !s.ok()) {
+    return s;
+  }
+  return DecodeGet(resp);
+}
+
+std::vector<Result<CacheValue>> TcpCacheBackend::MultiGet(
+    const std::vector<GetRequest>& reqs) {
+  const RetryPolicy& policy = options().retry;
+  const Timestamp start = SystemClock::Global().Now();
+  Burst<CacheValue> b = SendBurst(*conn_, wire::Op::kGet, reqs, &DecodeGet);
+
+  // Gets are idempotent, so kUnavailable slots (a connection drop failed
+  // part or all of the burst) are re-batched together and retried under the
+  // same attempt/backoff/deadline budget a single Get would get.
+  for (int attempt = 2; attempt <= policy.max_attempts; ++attempt) {
+    std::vector<size_t> failed;  // indices into batch/slot_of
+    for (size_t i = 0; i < b.batch.size(); ++i) {
+      const Result<CacheValue>& slot = b.out[b.slot_of[i]];
+      if (!slot.ok() && slot.status().code() == Code::kUnavailable) {
+        failed.push_back(i);
+      }
+    }
+    if (failed.empty()) break;
+    const Duration elapsed = SystemClock::Global().Now() - start;
+    const Duration sleep = TcpConnection::BackoffBeforeAttempt(
+        policy, attempt, elapsed, Fnv1a64("multiget") ^ failed.size());
+    if (sleep < 0) break;  // deadline budget exhausted
+    if (sleep > 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(sleep));
+    }
+    std::vector<TcpConnection::BatchRequest> retry_batch;
+    retry_batch.reserve(failed.size());
+    for (size_t i : failed) retry_batch.push_back(b.batch[i]);
+    std::vector<TcpConnection::BatchResponse> retry_resps =
+        conn_->TransactBatch(retry_batch);
+    for (size_t j = 0; j < retry_resps.size(); ++j) {
+      FillSlot(b.out[b.slot_of[failed[j]]], retry_resps[j], &DecodeGet);
+    }
+  }
+  return std::move(b.out);
+}
+
+Result<IqGetResult> TcpCacheBackend::IqGet(const OpContext& ctx,
+                                           std::string_view key) {
+  if (Status s = CheckKey(key); !s.ok()) return s;
+  std::string resp;
+  if (Status s = Transact(wire::Op::kIqGet, CtxKeyBody(ctx, key), &resp);
+      !s.ok()) {
+    return s;
+  }
+  return DecodeIqGet(resp);
+}
+
+std::vector<Result<IqGetResult>> TcpCacheBackend::MultiIqGet(
+    const std::vector<GetRequest>& reqs) {
+  // One burst and no retry pass: a replayed IQGET could grant a second I
+  // lease, so a slot the connection dropped stays kUnavailable.
+  return SendBurst(*conn_, wire::Op::kIqGet, reqs, &DecodeIqGet).out;
 }
 
 Status TcpCacheBackend::IqSet(const OpContext& ctx, std::string_view key,

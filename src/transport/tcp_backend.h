@@ -83,6 +83,11 @@ class TcpCacheBackend : public CacheBackend {
       const std::vector<GetRequest>& reqs) override;
   Result<IqGetResult> IqGet(const OpContext& ctx,
                             std::string_view key) override;
+  /// The whole batch as ordinary IQGET frames in one pipelined burst, like
+  /// MultiGet, but never retried: IQGET grants leases, so a slot lost to a
+  /// connection drop fails kUnavailable.
+  std::vector<Result<IqGetResult>> MultiIqGet(
+      const std::vector<GetRequest>& reqs) override;
   Status IqSet(const OpContext& ctx, std::string_view key, CacheValue value,
                LeaseToken token) override;
   /// Submits the IQSET/IDELETE frame into the pipeline and returns without
@@ -149,9 +154,6 @@ class TcpCacheBackend : public CacheBackend {
  private:
   /// One round trip over the shared connection.
   Status Transact(wire::Op op, std::string_view body, std::string* resp_body);
-
-  /// Shared guard-rail: keys above the wire limit never leave the client.
-  static Status CheckKey(std::string_view key);
 
   std::shared_ptr<TcpConnection> conn_;
 };

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <memory>
+#include <mutex>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/cache/dirty_list.h"
@@ -349,6 +355,74 @@ TEST_F(CoordinatorTest, FragmentsInModeAndWithPrimary) {
   EXPECT_EQ(transient.size(), kFragments / kInstances);
   auto of0 = coordinator_->FragmentsWithPrimary(0);
   EXPECT_EQ(of0.size(), kFragments / kInstances);
+}
+
+/// An endpoint whose GrantLease can be made to block until released — a
+/// lease RPC to a slow or wedged instance, held with the coordinator's lock.
+class LatchedEndpoint : public InstanceEndpoint {
+ public:
+  bool available() const override { return true; }
+
+  void GrantLease(FragmentId, ConfigId, Duration, ConfigId) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!block_) return;
+    ++blocked_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return !block_; });
+  }
+  void RevokeLease(FragmentId, ConfigId) override {}
+  Result<CacheValue> Get(std::string_view) override {
+    return Status(Code::kNotFound);
+  }
+  Status Set(std::string_view, CacheValue) override { return Status::Ok(); }
+  Status Delete(std::string_view) override { return Status::Ok(); }
+
+  void Block() {
+    std::lock_guard<std::mutex> lock(mu_);
+    block_ = true;
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    block_ = false;
+    cv_.notify_all();
+  }
+  void AwaitBlocked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return blocked_ > 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool block_ = false;
+  int blocked_ = 0;
+};
+
+TEST(CoordinatorPublishTest, ReadersDoNotWaitForALeaseRenewalInFlight) {
+  VirtualClock clock;
+  LatchedEndpoint endpoint;
+  Coordinator coordinator(&clock, std::vector<InstanceEndpoint*>{&endpoint},
+                          /*num_fragments=*/4, Coordinator::Options());
+  const ConfigId published = coordinator.latest_id();
+  ASSERT_GT(published, 0u);
+
+  endpoint.Block();
+  std::thread renewer([&] { coordinator.RenewLeases(); });
+  endpoint.AwaitBlocked();  // RenewLeases now holds the coordinator's lock
+
+  auto readers = std::async(std::launch::async, [&] {
+    const ConfigurationPtr cfg = coordinator.GetConfiguration();
+    return std::make_pair(coordinator.latest_id(),
+                          cfg == nullptr ? ConfigId{0} : cfg->id());
+  });
+  const bool prompt = readers.wait_for(std::chrono::seconds(2)) ==
+                      std::future_status::ready;
+  endpoint.Release();
+  renewer.join();
+  ASSERT_TRUE(prompt) << "configuration readers waited on the lease fan-out";
+  const auto [latest, config_id] = readers.get();
+  EXPECT_EQ(latest, published);
+  EXPECT_EQ(config_id, published);
 }
 
 }  // namespace

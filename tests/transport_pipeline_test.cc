@@ -32,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -950,6 +951,189 @@ TEST(WarmUpTest, ProbesThenFillsOnlyMisses) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->cache_hit);
   EXPECT_EQ(r->value.data, "v3");
+}
+
+/// A CacheInstance with two hooks for WarmUp: every posted fill advances
+/// the clock (a store slow enough that a burst's last token waits on the
+/// fills ahead of it), and the first IqGet of each key in `backoff_once`
+/// fails kBackoff (another session's lease that clears before the retry).
+class ScriptedInstance : public CacheInstance {
+ public:
+  ScriptedInstance(InstanceId id, VirtualClock* clock)
+      : CacheInstance(id, clock), clock_(clock) {}
+
+  Duration fill_delay = 0;
+  std::set<std::string, std::less<>> backoff_once;
+
+  Result<IqGetResult> IqGet(const OpContext& ctx,
+                            std::string_view key) override {
+    if (auto it = backoff_once.find(key); it != backoff_once.end()) {
+      backoff_once.erase(it);
+      return Status(Code::kBackoff);
+    }
+    return CacheInstance::IqGet(ctx, key);
+  }
+
+  void PostFill(const OpContext& ctx, std::string_view key, LeaseToken token,
+                std::optional<CacheValue> value) override {
+    clock_->Advance(fill_delay);
+    CacheInstance::PostFill(ctx, key, token, std::move(value));
+  }
+
+ private:
+  VirtualClock* clock_;
+};
+
+/// Two scripted instances, eight fragments, a store holding `num_keys` keys.
+class WarmUpClusterTest : public ::testing::Test {
+ protected:
+  void Build(size_t num_keys) {
+    for (InstanceId i = 0; i < 2; ++i) {
+      instances_.push_back(std::make_unique<ScriptedInstance>(i, &clock_));
+      raw_.push_back(instances_.back().get());
+    }
+    coordinator_ = std::make_unique<Coordinator>(
+        &clock_, std::vector<CacheInstance*>(raw_.begin(), raw_.end()),
+        /*num_fragments=*/8);
+    for (size_t i = 0; i < num_keys; ++i) {
+      keys_.push_back("user" + std::to_string(i));
+      store_.Put(keys_.back(), "v" + std::to_string(i));
+    }
+    client_ = std::make_unique<GeminiClient>(
+        &clock_, coordinator_.get(),
+        std::vector<CacheBackend*>(raw_.begin(), raw_.end()), &store_);
+  }
+
+  ScriptedInstance& PrimaryOf(const std::string& key) {
+    auto cfg = coordinator_->GetConfiguration();
+    return *raw_[cfg->fragment(cfg->FragmentOf(key)).primary];
+  }
+
+  /// Whether `key` is cached on the replica the configuration routes it to.
+  bool Cached(const std::string& key) {
+    auto cfg = coordinator_->GetConfiguration();
+    return PrimaryOf(key)
+        .Get(OpContext{cfg->id(), cfg->FragmentOf(key)}, key)
+        .ok();
+  }
+
+  uint64_t FillsRejected() {
+    uint64_t total = 0;
+    for (ScriptedInstance* inst : raw_) total += inst->stats().fills_rejected;
+    return total;
+  }
+
+  VirtualClock clock_;
+  DataStore store_;
+  std::vector<std::unique_ptr<ScriptedInstance>> instances_;
+  std::vector<ScriptedInstance*> raw_;
+  std::unique_ptr<Coordinator> coordinator_;
+  std::unique_ptr<GeminiClient> client_;
+  std::vector<std::string> keys_;
+  Session session_;
+};
+
+TEST_F(WarmUpClusterTest, SlowFillsStayWithinTheILeaseLifetime) {
+  Build(512);
+  // 1 ms per fill against a 100 ms I lease: a burst of all ~256 keys a
+  // replica owns would let the tail's tokens lapse before their fills.
+  for (ScriptedInstance* inst : raw_) inst->fill_delay = Millis(1);
+  EXPECT_EQ(client_->WarmUp(session_, keys_), 0u);
+  EXPECT_EQ(FillsRejected(), 0u);
+  for (const std::string& key : keys_) EXPECT_TRUE(Cached(key)) << key;
+  EXPECT_EQ(client_->stats().reads, keys_.size());
+}
+
+TEST_F(WarmUpClusterTest, DuplicateAndBackoffSlotsEndCachedThroughRead) {
+  Build(4);
+  // "user0" twice: its second slot backs off on the first slot's own lease.
+  // "user1" collides with another session's lease on its first IqGet.
+  PrimaryOf("user1").backoff_once.insert("user1");
+  const std::vector<std::string> keys = {"user0", "user1", "user0", "user2"};
+  EXPECT_EQ(client_->WarmUp(session_, keys), 0u);
+  for (const std::string& key : keys) EXPECT_TRUE(Cached(key)) << key;
+  // user0 and user2 fill inline; user1 and the duplicate user0 go through
+  // Read(), which hits the duplicate and fills user1.
+  const auto stats = client_->stats();
+  EXPECT_EQ(stats.reads, keys.size());
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.store_reads, 3u);
+  EXPECT_EQ(FillsRejected(), 0u);
+}
+
+TEST_F(PostedFillClientTest, WarmUpOverTheWireCachesEveryKey) {
+  std::vector<std::string> keys;
+  for (int i = 0; i < 200; ++i) {
+    keys.push_back("user" + std::to_string(i));
+    store_.Put(keys.back(), "v" + std::to_string(i));
+  }
+  // Cold: every key misses its burst and is filled inline.
+  EXPECT_EQ(client_->WarmUp(session_, keys), 0u);
+  EXPECT_EQ(client_->stats().store_reads, keys.size());
+  // The posted fills ride the same connection ahead of these gets.
+  for (const std::string& key : keys) {
+    auto got = backend_->Get(CtxOf(key), key);
+    ASSERT_TRUE(got.ok()) << key;
+    EXPECT_EQ(got->data, "v" + key.substr(4));
+  }
+  EXPECT_EQ(instance_->stats().fills_rejected, 0u);
+  // Warm: every burst slot hits.
+  EXPECT_EQ(client_->WarmUp(session_, keys), keys.size());
+  EXPECT_EQ(client_->stats().store_reads, keys.size());
+}
+
+// ---- MultiIqGet: parity between the in-process and the wire backend --------
+
+TEST_F(PipelineE2eTest, MultiIqGetMatchesCacheInstanceSlotForSlot) {
+  CacheInstance local(0, &clock_);
+  // Both instances: fragment 0 leased with latest configuration 2, "hit"
+  // cached, "leased" under another session's I lease.
+  const OpContext ctx{2, 0};
+  for (CacheInstance* inst : {&local, instance_.get()}) {
+    inst->GrantFragmentLease(0, /*min_valid_config=*/1,
+                             clock_.Now() + Seconds(60),
+                             /*latest_config=*/2);
+    ASSERT_TRUE(inst->Set(ctx, "hit", CacheValue::OfData("v", 3)).ok());
+    ASSERT_TRUE(inst->IqGet(ctx, "leased").ok());
+  }
+  const std::vector<GetRequest> reqs = {
+      {ctx, "hit"},
+      {ctx, "miss"},
+      {ctx, "leased"},
+      {OpContext{1, 0}, "stale"},
+      {ctx, "miss"},  // a duplicate backs off on the first slot's lease
+      {ctx, std::string(wire::kMaxKeyLen + 1, 'x')},
+  };
+  const auto want = local.MultiIqGet(reqs);
+  const auto got = backend_->MultiIqGet(reqs);
+  ASSERT_EQ(want.size(), reqs.size());
+  ASSERT_EQ(got.size(), reqs.size());
+
+  ASSERT_TRUE(got[0].ok());
+  ASSERT_TRUE(got[0]->value.has_value());
+  EXPECT_EQ(got[0]->value->data, "v");
+  EXPECT_EQ(got[0]->value->version, 3u);
+  ASSERT_TRUE(got[1].ok());
+  EXPECT_FALSE(got[1]->value.has_value());
+  EXPECT_NE(got[1]->i_token, kNoLease);
+  EXPECT_EQ(got[2].code(), Code::kBackoff);
+  EXPECT_EQ(got[3].code(), Code::kStaleConfig);
+  EXPECT_EQ(got[4].code(), Code::kBackoff);
+  for (size_t i = 0; i + 1 < reqs.size(); ++i) {
+    ASSERT_EQ(got[i].code(), want[i].code()) << i;
+    if (!got[i].ok()) continue;
+    EXPECT_EQ(got[i]->value.has_value(), want[i]->value.has_value()) << i;
+    EXPECT_EQ(got[i]->i_token == kNoLease, want[i]->i_token == kNoLease) << i;
+  }
+  // The oversized key fails locally; the in-process instance has no wire
+  // limit to enforce.
+  EXPECT_EQ(got.back().code(), Code::kInvalidArgument);
+
+  // The burst's token is live: filling it makes the next lookup hit.
+  ASSERT_TRUE(backend_->IqSet(ctx, "miss", CacheValue::OfData("m"),
+                              got[1]->i_token)
+                  .ok());
+  EXPECT_TRUE(backend_->Get(ctx, "miss").ok());
 }
 
 }  // namespace
