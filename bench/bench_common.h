@@ -13,6 +13,7 @@
 // numbers are not expected to match (see EXPERIMENTS.md).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -114,6 +115,38 @@ inline bool WriteResultsJson(const std::string& path, const std::string& suite,
   const std::string doc = ResultsToJson(suite, results);
   const bool wrote = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
   return std::fclose(f) == 0 && wrote;
+}
+
+// ---- Repeated trials --------------------------------------------------------
+//
+// One timed run of a loopback bench spreads widely from run to run (thread
+// placement, frequency scaling), so a gated point is the median of kTrials
+// trials, recorded together with the trials' quartiles.
+
+inline constexpr int kTrials = 5;
+
+struct TrialSpread {
+  double median = 0;
+  double q1 = 0;
+  double q3 = 0;
+};
+
+/// Calls `trial` kTrials times; each call returns one measurement (ops/s).
+template <typename Trial>
+TrialSpread MedianOfTrials(Trial&& trial) {
+  std::vector<double> values;
+  values.reserve(kTrials);
+  for (int k = 0; k < kTrials; ++k) values.push_back(trial());
+  std::sort(values.begin(), values.end());
+  return {values[kTrials / 2], values[kTrials / 4], values[kTrials * 3 / 4]};
+}
+
+/// Records a median-of-trials throughput on `r`: ops_per_sec is the median,
+/// the trial count joins the params and the quartiles go to `extra`.
+inline void SetOpsPerSec(BenchResult& r, const TrialSpread& spread) {
+  r.params.emplace_back("trials", kTrials);
+  r.ops_per_sec = spread.median;
+  r.extra = {{"ops_per_sec_q1", spread.q1}, {"ops_per_sec_q3", spread.q3}};
 }
 
 // ---- The paper's YCSB cluster (Section 5.2), proportionally scaled ----------

@@ -11,10 +11,10 @@
 //  transport_transact group: closed-loop Transact GETs from 1, 2 and 4
 //  threads sharing one connection — the synchronous path every Gemini
 //  protocol step takes, where each waiting caller sends its own frame and
-//  reads responses itself. Its ops/s is the median of 5 trials, reported
-//  with the trials' quartiles. Writes BENCH_transport.json; the committed
-//  file at the repo root is the loopback baseline backing the ROADMAP
-//  pipelining claim.
+//  reads responses itself. Every point's ops/s is the median of 5 trials
+//  (bench::MedianOfTrials), reported with the trials' quartiles. Writes
+//  BENCH_transport.json; the committed file at the repo root is the
+//  loopback baseline backing the ROADMAP pipelining claim.
 //
 //  --scaling — server scaling sweep. For each event-loop count in {1,2,4},
 //  starts a fresh server with that many loops (and a lock-striped
@@ -38,13 +38,12 @@
 //  32 individual kSet frames pipelined through a window-32 connection
 //  (bulk=0, the anchor) versus one 32-key kMultiSet frame per burst
 //  (bulk=1). One frame per burst beats 32 frames even when both ride one
-//  sendmsg: the server decodes, executes, and answers once. Writes
-//  BENCH_transport_bulk.json; tools/check_bench.py --min-point pins the
-//  bulk=1 speedup floor in CI.
+//  sendmsg: the server decodes, executes, and answers once. Each side's
+//  keys/s is the median of 5 trials. Writes BENCH_transport_bulk.json;
+//  tools/check_bench.py --min-point pins the bulk=1 speedup floor in CI.
 //
-// Every mode's params record the io backend (0=poll, 1=epoll, 2=uring) and
-// kernel (major*1000+minor) that produced the numbers — backend choice moves
-// transport throughput, so baselines must be compared like-for-like.
+// Every mode's params record the kernel (major*1000+minor) that produced the
+// numbers, so baselines are compared like-for-like.
 //
 // Flags: --quick (CI smoke), --full, --scaling, --chaos, --chaos-seed=N,
 //        --bulk, --ops=N (per connection), --value-bytes=B, --keys=K,
@@ -89,14 +88,6 @@ double KernelCode() {
   return static_cast<double>(major * 1000 + minor);
 }
 
-/// The server's active io backend as a param code: 0=poll, 1=epoll, 2=uring.
-double BackendCode(const TransportServer& server) {
-  const std::string name = server.io_backend_name();
-  if (name == "uring") return 2;
-  if (name == "epoll") return 1;
-  return 0;
-}
-
 /// Issues `n` pipelined GETs closed-loop on `conn`, recording latencies and
 /// errors when `record` is set. Returns when every response arrived.
 void SubmitClosedLoop(TcpConnection& conn, size_t n,
@@ -128,62 +119,55 @@ void SubmitClosedLoop(TcpConnection& conn, size_t n,
   cv.wait(lock, [&] { return completed == n; });
 }
 
-struct WindowRun {
-  size_t window = 0;
-  double ops_per_sec = 0;
-  double p50_us = 0;
+/// One point of a median-of-trials sweep (a window or a thread count).
+struct SweepPoint {
+  size_t x = 0;
+  size_t ops = 0;  // per trial
+  bench::TrialSpread ops_per_sec;
+  double p50_us = 0;  // latencies pooled over every trial
   double p99_us = 0;
   uint64_t errors = 0;
 };
 
-/// Runs `ops` GETs closed-loop at in-flight depth `window` on a fresh
+/// One trial: `ops` GETs closed-loop at in-flight depth `window` on a fresh
 /// connection (constructed directly, not via the Acquire pool, so every
-/// window size gets its own options).
-WindowRun RunWindow(uint16_t port, size_t window, size_t ops,
-                    const std::vector<std::string>& bodies) {
+/// window size gets its own options). Returns ops/s.
+double WindowTrial(uint16_t port, size_t window, size_t ops,
+                   const std::vector<std::string>& bodies, Histogram& hist,
+                   uint64_t& errors) {
   TcpConnection::Options copts;
   copts.max_inflight = window;
   TcpConnection conn("127.0.0.1", port, wire::kAnyInstance, copts);
-
-  Histogram hist;
-  uint64_t errors = 0;
   SubmitClosedLoop(conn, std::min<size_t>(ops / 10 + 1, 2000), bodies,
                    /*record=*/false, hist, errors);
   const auto t0 = SteadyClock::now();
   SubmitClosedLoop(conn, ops, bodies, /*record=*/true, hist, errors);
   const double secs =
       std::chrono::duration<double>(SteadyClock::now() - t0).count();
+  return secs > 0 ? static_cast<double>(ops) / secs : 0;
+}
 
-  WindowRun out;
-  out.window = window;
-  out.ops_per_sec = secs > 0 ? static_cast<double>(ops) / secs : 0;
+SweepPoint RunWindow(uint16_t port, size_t window, size_t ops,
+                     const std::vector<std::string>& bodies) {
+  SweepPoint out;
+  out.x = window;
+  out.ops = ops;
+  Histogram hist;
+  out.ops_per_sec = bench::MedianOfTrials(
+      [&] { return WindowTrial(port, window, ops, bodies, hist, out.errors); });
   out.p50_us = hist.Percentile(0.50);
   out.p99_us = hist.Percentile(0.99);
-  out.errors = errors;
   return out;
 }
 
 // ---- Caller-driven round trips ----------------------------------------------
 
-constexpr int kTransactTrials = 5;
-
-struct TransactRun {
-  size_t threads = 0;
-  size_t ops = 0;  // per trial
-  double ops_per_sec = 0;  // median trial
-  double ops_per_sec_q1 = 0;
-  double ops_per_sec_q3 = 0;
-  double p50_us = 0;
-  double p99_us = 0;
-  uint64_t errors = 0;
-};
-
-/// Runs kTransactTrials trials of `ops` closed-loop Transact GETs, split
+/// Runs bench::kTrials trials of `ops` closed-loop Transact GETs, split
 /// across `threads` threads that share one connection (each thread waits
 /// for its reply before it sends the next request). Latencies pool every
 /// trial; ops/s is the median trial, with the trials' quartiles.
-TransactRun RunTransact(uint16_t port, size_t threads, size_t ops,
-                        const std::vector<std::string>& bodies) {
+SweepPoint RunTransact(uint16_t port, size_t threads, size_t ops,
+                       const std::vector<std::string>& bodies) {
   TcpConnection conn("127.0.0.1", port, wire::kAnyInstance,
                      TcpConnection::Options{});
   Histogram hist;
@@ -222,22 +206,23 @@ TransactRun RunTransact(uint16_t port, size_t threads, size_t ops,
   const size_t per_thread = std::max<size_t>(1, ops / threads);
   trial(std::min<size_t>(per_thread / 10 + 1, 500), /*record=*/false);
   errors.store(0);
-  std::vector<double> rates;
-  for (int k = 0; k < kTransactTrials; ++k) {
-    rates.push_back(trial(per_thread, /*record=*/true));
-  }
-  std::sort(rates.begin(), rates.end());
 
-  TransactRun out;
-  out.threads = threads;
+  SweepPoint out;
+  out.x = threads;
   out.ops = per_thread * threads;
-  out.ops_per_sec = rates[rates.size() / 2];
-  out.ops_per_sec_q1 = rates[rates.size() / 4];
-  out.ops_per_sec_q3 = rates[rates.size() * 3 / 4];
+  out.ops_per_sec =
+      bench::MedianOfTrials([&] { return trial(per_thread, /*record=*/true); });
   out.p50_us = hist.Percentile(0.50);
   out.p99_us = hist.Percentile(0.99);
   out.errors = errors.load();
   return out;
+}
+
+/// Prints one sweep row: x, median ops/s [q1, q3], p50, p99.
+void PrintSweepRow(const SweepPoint& r) {
+  std::printf("  %8zu %12.0f   [%8.0f, %8.0f] %10.1f %10.1f\n", r.x,
+              r.ops_per_sec.median, r.ops_per_sec.q1, r.ops_per_sec.q3,
+              r.p50_us, r.p99_us);
 }
 
 // ---- Server scaling mode ----------------------------------------------------
@@ -248,7 +233,6 @@ struct ScalingRun {
   double p50_us = 0;
   double p99_us = 0;
   uint64_t errors = 0;
-  double backend = 0;  // io backend code of the server that produced the row
 };
 
 /// Starts a fresh `loops`-shard server over a striped instance, preloads the
@@ -326,7 +310,6 @@ ScalingRun RunScalingPoint(size_t loops, size_t window, size_t ops,
   for (auto& t : clients) t.join();
   const double secs =
       std::chrono::duration<double>(SteadyClock::now() - t0).count();
-  out.backend = BackendCode(server);
   server.Stop();
 
   Histogram merged;
@@ -394,7 +377,6 @@ int RunScaling(size_t ops, size_t value_bytes, size_t num_keys,
                  {"keys", static_cast<double>(num_keys)},
                  {"stripes", static_cast<double>(kStripes)},
                  {"cpus", static_cast<double>(cpus)},
-                 {"backend", r.backend},
                  {"kernel", KernelCode()}};
     br.ops_per_sec = r.ops_per_sec;
     br.p50_us = r.p50_us;
@@ -415,8 +397,8 @@ int RunScaling(size_t ops, size_t value_bytes, size_t num_keys,
 
 struct BulkRun {
   bool bulk = false;
-  double ops_per_sec = 0;  // keys written per second
-  double p50_us = 0;       // per-burst latency
+  bench::TrialSpread ops_per_sec;  // keys written per second
+  double p50_us = 0;               // per-frame latency, pooled over trials
   double p99_us = 0;
   uint64_t errors = 0;
 };
@@ -494,40 +476,32 @@ void RunBulkClient(uint16_t port, bool bulk, size_t bursts, size_t burst,
   submit(frames, /*record=*/true);
 }
 
-/// Drives one side of the bulk comparison with `clients` concurrent
-/// connections so the single server loop — not loopback round-trip
+/// One trial of one side of the bulk comparison: `clients` concurrent
+/// connections, so the single server loop — not loopback round-trip
 /// latency — is the bottleneck; that is where the per-frame overhead the
-/// bulk opcodes remove actually lives.
-BulkRun RunBulkSide(uint16_t port, bool bulk, size_t clients, size_t bursts,
-                    size_t burst, size_t window, size_t value_bytes,
-                    size_t num_keys) {
-  BulkRun out;
-  out.bulk = bulk;
+/// bulk opcodes remove actually lives. Returns keys/s.
+double BulkTrial(uint16_t port, bool bulk, size_t clients, size_t bursts,
+                 size_t burst, size_t window, size_t value_bytes,
+                 size_t num_keys, Histogram& merged, uint64_t& errors) {
   std::vector<Histogram> hists(clients);
-  std::vector<uint64_t> errors(clients, 0);
+  std::vector<uint64_t> client_errors(clients, 0);
   std::vector<std::thread> threads;
   threads.reserve(clients);
   const auto t0 = SteadyClock::now();
   for (size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       RunBulkClient(port, bulk, bursts, burst, window, value_bytes, num_keys,
-                    hists[c], errors[c]);
+                    hists[c], client_errors[c]);
     });
   }
   for (auto& t : threads) t.join();
   const double secs =
       std::chrono::duration<double>(SteadyClock::now() - t0).count();
-
-  Histogram merged;
   for (size_t c = 0; c < clients; ++c) {
     merged.Merge(hists[c]);
-    out.errors += errors[c];
+    errors += client_errors[c];
   }
-  out.ops_per_sec =
-      secs > 0 ? static_cast<double>(clients * bursts * burst) / secs : 0;
-  out.p50_us = merged.Percentile(0.50);
-  out.p99_us = merged.Percentile(0.99);
-  return out;
+  return secs > 0 ? static_cast<double>(clients * bursts * burst) / secs : 0;
 }
 
 int RunBulk(size_t ops, size_t value_bytes, size_t num_keys,
@@ -551,23 +525,29 @@ int RunBulk(size_t ops, size_t value_bytes, size_t num_keys,
     return 1;
   }
   std::printf("  clients=%zu  bursts/client=%zu  burst=32  value=%zuB  "
-              "keys=%zu  io=%s\n\n",
-              kClients, bursts, value_bytes, num_keys,
-              server.io_backend_name());
+              "keys=%zu  median of %d trials [q1, q3]\n\n",
+              kClients, bursts, value_bytes, num_keys, bench::kTrials);
 
   std::vector<BulkRun> runs;
-  std::printf("  %8s %14s %10s %10s\n", "bulk", "keys/sec", "p50 us",
-              "p99 us");
+  std::printf("  %8s %14s %22s %10s %10s\n", "bulk", "keys/sec", "[q1, q3]",
+              "p50 us", "p99 us");
   uint64_t total_errors = 0;
   for (const bool bulk : {false, true}) {
-    runs.push_back(RunBulkSide(server.port(), bulk, kClients, bursts, kBurst,
-                               kWindow, value_bytes, num_keys));
-    const BulkRun& r = runs.back();
-    std::printf("  %8d %14.0f %10.1f %10.1f\n", r.bulk ? 1 : 0, r.ops_per_sec,
-                r.p50_us, r.p99_us);
+    BulkRun r;
+    r.bulk = bulk;
+    Histogram hist;
+    r.ops_per_sec = bench::MedianOfTrials([&] {
+      return BulkTrial(server.port(), bulk, kClients, bursts, kBurst, kWindow,
+                       value_bytes, num_keys, hist, r.errors);
+    });
+    r.p50_us = hist.Percentile(0.50);
+    r.p99_us = hist.Percentile(0.99);
+    std::printf("  %8d %14.0f   [%8.0f, %8.0f] %10.1f %10.1f\n",
+                r.bulk ? 1 : 0, r.ops_per_sec.median, r.ops_per_sec.q1,
+                r.ops_per_sec.q3, r.p50_us, r.p99_us);
     total_errors += r.errors;
+    runs.push_back(r);
   }
-  const double backend_code = BackendCode(server);
   server.Stop();
   if (total_errors > 0) {
     std::fprintf(stderr, "bench_transport: %llu ops failed\n",
@@ -586,16 +566,15 @@ int RunBulk(size_t ops, size_t value_bytes, size_t num_keys,
                  {"ops", static_cast<double>(kClients * bursts * kBurst)},
                  {"value_bytes", static_cast<double>(value_bytes)},
                  {"keys", static_cast<double>(num_keys)},
-                 {"backend", backend_code},
                  {"kernel", KernelCode()}};
-    br.ops_per_sec = r.ops_per_sec;
+    bench::SetOpsPerSec(br, r.ops_per_sec);
     br.p50_us = r.p50_us;
     br.p99_us = r.p99_us;
     results.push_back(std::move(br));
   }
   std::printf("\n  MultiSet vs pipelined Sets speedup: %.2fx\n",
-              runs[0].ops_per_sec > 0
-                  ? runs[1].ops_per_sec / runs[0].ops_per_sec
+              runs[0].ops_per_sec.median > 0
+                  ? runs[1].ops_per_sec.median / runs[0].ops_per_sec.median
                   : 0.0);
   if (!bench::WriteResultsJson(json_path, "transport_bulk", results)) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
@@ -657,8 +636,11 @@ int Run(int argc, char** argv) {
                              "delay/hold FaultProxy: ops/sec vs window"
                            : "pipelined TCP transport: ops/sec vs in-flight "
                              "window (loopback geminid)");
-  std::printf("  ops/window=%zu  value=%zuB  keys=%zu\n\n", ops, value_bytes,
-              num_keys);
+  // Both sweeps split `ops` over bench::kTrials trials per point.
+  const size_t trial_ops = std::max<size_t>(ops / bench::kTrials, 500);
+  std::printf("  ops/trial=%zu  value=%zuB  keys=%zu  median of %d trials "
+              "[q1, q3]\n\n",
+              trial_ops, value_bytes, num_keys, bench::kTrials);
 
   SystemClock& clock = SystemClock::Global();
   CacheInstance instance(0, &clock);
@@ -717,38 +699,30 @@ int Run(int argc, char** argv) {
   }
 
   const std::vector<size_t> windows = {1, 2, 4, 8, 16, 32, 64};
-  std::vector<WindowRun> runs;
-  std::printf("  %8s %12s %10s %10s\n", "window", "ops/sec", "p50 us",
-              "p99 us");
+  std::vector<SweepPoint> runs;
+  std::printf("  %8s %12s %22s %10s %10s\n", "window", "ops/sec", "[q1, q3]",
+              "p50 us", "p99 us");
   uint64_t total_errors = 0;
   for (const size_t w : windows) {
-    runs.push_back(RunWindow(target_port, w, ops, bodies));
-    const WindowRun& r = runs.back();
-    std::printf("  %8zu %12.0f %10.1f %10.1f\n", r.window, r.ops_per_sec,
-                r.p50_us, r.p99_us);
-    total_errors += r.errors;
+    runs.push_back(RunWindow(target_port, w, trial_ops, bodies));
+    PrintSweepRow(runs.back());
+    total_errors += runs.back().errors;
   }
   if (proxy) proxy->Stop();
 
   // The synchronous path: the clean default mode only (the chaos sweep's
   // point is the async window under injected delay).
-  std::vector<TransactRun> transacts;
+  std::vector<SweepPoint> transacts;
   if (!chaos) {
-    const size_t trial_ops = std::max<size_t>(ops / kTransactTrials, 500);
     std::printf("\n  transport_transact: closed-loop Transact GETs, threads "
-                "sharing one connection, %zu ops/trial, median of %d "
-                "trials [q1, q3]\n",
-                trial_ops, kTransactTrials);
+                "sharing one connection\n");
     std::printf("  %8s %12s %22s %10s %10s\n", "threads", "ops/sec",
                 "[q1, q3]", "p50 us", "p99 us");
     for (const size_t threads : {1, 2, 4}) {
       transacts.push_back(
           RunTransact(server.port(), threads, trial_ops, bodies));
-      const TransactRun& r = transacts.back();
-      std::printf("  %8zu %12.0f   [%8.0f, %8.0f] %10.1f %10.1f\n",
-                  r.threads, r.ops_per_sec, r.ops_per_sec_q1,
-                  r.ops_per_sec_q3, r.p50_us, r.p99_us);
-      total_errors += r.errors;
+      PrintSweepRow(transacts.back());
+      total_errors += transacts.back().errors;
     }
   }
   server.Stop();
@@ -760,40 +734,29 @@ int Run(int argc, char** argv) {
 
   double base = 0, at32 = 0;
   std::vector<bench::BenchResult> results;
-  for (const WindowRun& r : runs) {
-    if (r.window == 1) base = r.ops_per_sec;
-    if (r.window == 32) at32 = r.ops_per_sec;
-    bench::BenchResult br;
-    br.name = chaos ? "transport_get_chaos" : "transport_get";
-    br.params = {{"window", static_cast<double>(r.window)},
-                 {"ops", static_cast<double>(ops)},
-                 {"value_bytes", static_cast<double>(value_bytes)},
-                 {"keys", static_cast<double>(num_keys)},
-                 {"backend", BackendCode(server)},
-                 {"kernel", KernelCode()}};
-    if (chaos) br.params.push_back({"seed", static_cast<double>(chaos_seed)});
-    br.ops_per_sec = r.ops_per_sec;
-    br.p50_us = r.p50_us;
-    br.p99_us = r.p99_us;
-    results.push_back(std::move(br));
+  const auto add_results = [&](const char* name, const char* axis,
+                                 const std::vector<SweepPoint>& points) {
+    for (const SweepPoint& r : points) {
+      bench::BenchResult br;
+      br.name = name;
+      br.params = {{axis, static_cast<double>(r.x)},
+                   {"ops", static_cast<double>(r.ops)},
+                   {"value_bytes", static_cast<double>(value_bytes)},
+                   {"keys", static_cast<double>(num_keys)},
+                   {"kernel", KernelCode()}};
+      if (chaos) br.params.emplace_back("seed", static_cast<double>(chaos_seed));
+      bench::SetOpsPerSec(br, r.ops_per_sec);
+      br.p50_us = r.p50_us;
+      br.p99_us = r.p99_us;
+      results.push_back(std::move(br));
+    }
+  };
+  for (const SweepPoint& r : runs) {
+    if (r.x == 1) base = r.ops_per_sec.median;
+    if (r.x == 32) at32 = r.ops_per_sec.median;
   }
-  for (const TransactRun& r : transacts) {
-    bench::BenchResult br;
-    br.name = "transport_transact";
-    br.params = {{"threads", static_cast<double>(r.threads)},
-                 {"trials", static_cast<double>(kTransactTrials)},
-                 {"ops", static_cast<double>(r.ops)},
-                 {"value_bytes", static_cast<double>(value_bytes)},
-                 {"keys", static_cast<double>(num_keys)},
-                 {"backend", BackendCode(server)},
-                 {"kernel", KernelCode()}};
-    br.ops_per_sec = r.ops_per_sec;
-    br.p50_us = r.p50_us;
-    br.p99_us = r.p99_us;
-    br.extra = {{"ops_per_sec_q1", r.ops_per_sec_q1},
-                {"ops_per_sec_q3", r.ops_per_sec_q3}};
-    results.push_back(std::move(br));
-  }
+  add_results(chaos ? "transport_get_chaos" : "transport_get", "window", runs);
+  add_results("transport_transact", "threads", transacts);
   std::printf("\n  window 32 vs 1 speedup: %.1fx\n",
               base > 0 ? at32 / base : 0.0);
   if (!bench::WriteResultsJson(json_path, chaos ? "transport_chaos" : "transport",

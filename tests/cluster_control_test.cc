@@ -310,10 +310,13 @@ TEST(ClusterStatsTest, StatsOpReportsServerCacheAndExtraCounters) {
   EXPECT_EQ(stats["persist.appended_bytes"], 4096u);
 
   // The response-flush counters are exported raw (their ratio is the
-  // reader's to compute) and advance with traffic.
+  // reader's to compute) and advance with traffic. The retired
+  // transport.uring_sqe_batched must not come back.
+  ASSERT_EQ(stats.count("transport.sendmsg_calls"), 1u);
   ASSERT_EQ(stats.count("transport.frames_flushed"), 1u);
   ASSERT_EQ(stats.count("transport.flush_calls"), 1u);
   EXPECT_EQ(stats.count("transport.frames_per_flush"), 0u);
+  EXPECT_EQ(stats.count("transport.uring_sqe_batched"), 0u);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(conn.Transact(wire::Op::kPing, "", &resp).ok());
   }
@@ -321,6 +324,8 @@ TEST(ClusterStatsTest, StatsOpReportsServerCacheAndExtraCounters) {
   EXPECT_GE(later.at("transport.frames_flushed"),
             stats["transport.frames_flushed"] + 3);
   EXPECT_GT(later.at("transport.flush_calls"), stats["transport.flush_calls"]);
+  EXPECT_GT(later.at("transport.sendmsg_calls"),
+            stats["transport.sendmsg_calls"]);
 }
 
 TEST(ClusterStatsTest, ServerStatsAccumulateAcrossRestart) {

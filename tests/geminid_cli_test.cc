@@ -139,6 +139,21 @@ TEST(GeminidCli, InvalidTimeoutFlagsExitTwo) {
   }
 }
 
+TEST(GeminidCli, RemovedEventLoopFlagsAreUnknownOptions) {
+  // epoll is the only event loop: the old backend-selection flags are gone
+  // and must fail like any other unknown option, not be silently accepted.
+  const std::vector<std::vector<std::string>> removed = {
+      {"--poll"},
+      {"--io-backend", "epoll"},
+  };
+  for (const auto& args : removed) {
+    Child child = SpawnGeminid(args);
+    ASSERT_GT(child.pid, 0);
+    EXPECT_EQ(WaitForExit(child.pid), 2) << args[0];
+    ::close(child.stdout_fd);
+  }
+}
+
 TEST(GeminidCli, DataDirConflictsWithSnapshotFlagsExitTwo) {
   const std::string dir = ::testing::TempDir() + "/geminid_cli_conflict";
   const std::vector<std::vector<std::string>> bad = {

@@ -2,8 +2,8 @@
 // loop) on an ephemeral loopback port, driven through TcpCacheBackend over
 // actual TCP sockets — SET/GET/DELETE/CAS, a full IQ-lease cycle, Redleases,
 // dirty lists, config ids, snapshot triggers, protocol-error handling,
-// reconnection, the poll(2) fallback loop, and an unmodified GeminiClient
-// running its request protocol against remote instances.
+// reconnection, and an unmodified GeminiClient running its request protocol
+// against remote instances.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -278,20 +279,6 @@ TEST_F(TransportE2eTest, ServerStopUnblocksAndRejectsNewWork) {
   EXPECT_EQ(backend_->Ping().code(), Code::kUnavailable);
 }
 
-TEST_F(TransportE2eTest, PollFallbackLoopServesTraffic) {
-  TransportServer::Options options;
-  options.use_poll_fallback = true;
-  StartServer(options);
-  ASSERT_TRUE(
-      backend_->Set(kInternalCtx, "k", CacheValue::OfData("poll")).ok());
-  auto got = backend_->Get(kInternalCtx, "k");
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->data, "poll");
-  auto miss = backend_->IqGet(kInternalCtx, "other");
-  ASSERT_TRUE(miss.ok());
-  EXPECT_NE(miss->i_token, kNoLease);
-}
-
 TEST_F(TransportE2eTest, ManySequentialOpsOverOneConnection) {
   StartServer();
   for (int i = 0; i < 500; ++i) {
@@ -393,6 +380,117 @@ TEST_F(TransportE2eTest, GarbageFramesCloseConnectionServerSurvives) {
   EXPECT_GE(server_->stats().protocol_errors, 2u);
   // The well-behaved backend is unaffected throughout.
   ASSERT_TRUE(backend_->Ping().ok());
+}
+
+// Write backpressure: a client that pipelines big GETs and does not read
+// fills its receive window, so the server's sendmsg hits EAGAIN and the
+// connection waits on EPOLLOUT with responses still queued. Once the client
+// reads, every response must arrive whole and in request order; a second
+// client that never reads must not hold Stop() past drain_timeout_ms.
+TEST_F(TransportE2eTest, SlowReaderGetsEveryQueuedResponseInOrder) {
+  TransportServer::Options options;
+  options.drain_timeout_ms = 300;
+  StartServer(options);
+  constexpr int kKeys = 16;
+  constexpr int kGets = 128;  // 8 MiB of responses: more than both buffers
+  constexpr size_t kValueBytes = 64 * 1024;
+  for (int k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(backend_
+                    ->Set(kInternalCtx, "big" + std::to_string(k),
+                          CacheValue::OfData(std::string(kValueBytes, 'a' + k),
+                                             static_cast<Version>(k)))
+                    .ok());
+  }
+  backend_->Disconnect();
+
+  // HELLO then kGets pipelined GETs, written in one go; the small receive
+  // buffer (set before connect, so the window is negotiated small) keeps
+  // the server's responses from fitting in flight.
+  std::string requests;
+  std::string hello;
+  wire::PutU32(hello, wire::kProtocolVersion);
+  wire::PutU32(hello, 7);
+  wire::AppendRequest(requests, wire::Op::kHello, hello);
+  for (int i = 0; i < kGets; ++i) {
+    std::string body;
+    wire::PutContext(body, kInternalCtx);
+    wire::PutKey(body, "big" + std::to_string(i % kKeys));
+    wire::AppendRequest(requests, wire::Op::kGet, body);
+  }
+  const auto dial = [&]() {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int rcvbuf = 4096;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    const timeval tv{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server_->port());
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    EXPECT_EQ(::send(fd, requests.data(), requests.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(requests.size()));
+    return fd;
+  };
+  const uint64_t handled_before = server_->stats().frames_handled;
+  const int reader = dial();
+  const int stuck = dial();
+  ASSERT_GE(reader, 0);
+  ASSERT_GE(stuck, 0);
+
+  // Both connections' requests are handled but their responses cannot all
+  // have left: the server is parked on EPOLLOUT for each.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->stats().frames_handled < handled_before + 2 * (kGets + 1) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const TransportServer::Stats queued = server_->stats();
+  ASSERT_EQ(queued.frames_handled, handled_before + 2 * (kGets + 1));
+  EXPECT_LT(queued.frames_flushed, queued.frames_handled);
+
+  // Drain `reader`: the HELLO reply, then every GET's value in order.
+  std::string in;
+  int frames = 0;
+  char buf[64 * 1024];
+  while (frames < kGets + 1) {
+    size_t consumed = 0;
+    uint8_t tag = 0;
+    std::string_view body;
+    const wire::DecodeResult r = wire::DecodeFrame(in, &consumed, &tag, &body);
+    ASSERT_NE(r, wire::DecodeResult::kMalformed);
+    if (r == wire::DecodeResult::kNeedMore) {
+      const ssize_t n = ::recv(reader, buf, sizeof(buf), 0);
+      ASSERT_GT(n, 0) << "response " << frames << " never arrived";
+      in.append(buf, static_cast<size_t>(n));
+      continue;
+    }
+    ASSERT_EQ(tag, static_cast<uint8_t>(Code::kOk)) << "frame " << frames;
+    if (frames > 0) {
+      const int k = (frames - 1) % kKeys;
+      wire::Reader body_reader(body);
+      CacheValue value;
+      ASSERT_TRUE(body_reader.GetValue(&value));
+      ASSERT_EQ(value.version, static_cast<Version>(k)) << "frame " << frames;
+      ASSERT_EQ(value.data, std::string(kValueBytes, 'a' + k));
+    }
+    in.erase(0, consumed);
+    ++frames;
+  }
+  EXPECT_TRUE(in.empty());
+  ::close(reader);
+
+  // `stuck` still has megabytes queued: Stop() drains for at most
+  // drain_timeout_ms, then closes it anyway.
+  const auto stop_start = std::chrono::steady_clock::now();
+  server_->Stop();
+  const auto stop_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - stop_start)
+                           .count();
+  EXPECT_LT(stop_ms, options.drain_timeout_ms + 1000);
+  ::close(stuck);
 }
 
 // ---- The tentpole promise: GeminiClient runs unchanged over TCP ------------

@@ -111,7 +111,6 @@ bool ReadFrame(int fd, uint8_t* tag, std::string* body) {
         break;
     }
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;  // in-process io_uring kicks
     if (n <= 0) return false;
     buf.append(chunk, static_cast<size_t>(n));
   }
@@ -744,14 +743,9 @@ TEST(ServerHardening, SlowlorisConnectionsAreReapedEstablishedOnesAreNot) {
   ASSERT_TRUE(SendAll(fd, std::string("\x10\x00\x00", 3)));
 
   // The server reaps it (EOF on our side) well inside a few timeouts...
-  // EINTR is retried: an in-process io_uring backend's deferred ring
-  // teardown can kick unrelated threads out of blocking syscalls.
   const Timestamp start = Mono();
   char byte;
-  ssize_t n;
-  do {
-    n = ::recv(fd, &byte, 1, 0);  // 5 s SO_RCVTIMEO cap
-  } while (n < 0 && errno == EINTR);
+  const ssize_t n = ::recv(fd, &byte, 1, 0);  // 5 s SO_RCVTIMEO cap
   EXPECT_EQ(n, 0) << "expected EOF, got n=" << n << " errno=" << errno;
   EXPECT_LT(Mono() - start, Seconds(3));
   ::close(fd);

@@ -224,7 +224,6 @@ bool ReadFrame(int fd, uint8_t* tag, std::string* body) {
         break;
     }
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;  // in-process io_uring kicks
     if (n <= 0) return false;
     buf.append(chunk, static_cast<size_t>(n));
   }

@@ -14,7 +14,7 @@
 // Usage:
 //   geminid [--port N] [--bind ADDR] [--threads N] [--stripes S]
 //           [--instance ID[:SNAPSHOT_FILE]]...   (repeatable)
-//           [--capacity-mb N] [--snapshot-interval-s N] [--poll] [--verbose]
+//           [--capacity-mb N] [--snapshot-interval-s N] [--verbose]
 //           [--data-dir DIR]
 //
 // Single-instance sugar (mutually exclusive with --instance):
@@ -104,10 +104,6 @@ void Usage(const char* argv0) {
          "                         not)\n"
       << "  --heartbeat-interval-ms N  coordinator heartbeat cadence\n"
          "                         (default 100)\n"
-      << "  --io-backend NAME      event backend: auto (default), uring,\n"
-         "                         epoll, or poll; auto picks io_uring when\n"
-         "                         the kernel supports it, else epoll\n"
-      << "  --poll                 legacy alias for --io-backend poll\n"
       << "  --verbose              info-level logging\n";
 }
 
@@ -197,9 +193,6 @@ int main(int argc, char** argv) {
   uint64_t stripes = 0;  // 0 = auto (derived from the loop count)
   int64_t drain_timeout_ms = -1;  // -1 = server default
   int64_t idle_timeout_ms = -1;   // -1 = server default
-  bool use_poll = false;
-  gemini::TransportServer::IoBackend io_backend =
-      gemini::TransportServer::IoBackend::kAuto;
   std::string data_dir;
   std::vector<gemini::CoordinatorLink::Endpoint> coordinators;
   std::string advertise_host;
@@ -262,24 +255,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--idle-timeout-ms") {
       idle_timeout_ms =
           static_cast<int64_t>(ParseUint(arg, next(), 24LL * 3600 * 1000));
-    } else if (arg == "--io-backend") {
-      const std::string name = next();
-      if (name == "auto") {
-        io_backend = gemini::TransportServer::IoBackend::kAuto;
-      } else if (name == "uring") {
-        io_backend = gemini::TransportServer::IoBackend::kUring;
-      } else if (name == "epoll") {
-        io_backend = gemini::TransportServer::IoBackend::kEpoll;
-      } else if (name == "poll") {
-        io_backend = gemini::TransportServer::IoBackend::kPoll;
-      } else {
-        std::cerr << "geminid: invalid value '" << name
-                  << "' for --io-backend (expected auto, uring, epoll, or "
-                     "poll)\n";
-        return 2;
-      }
-    } else if (arg == "--poll") {
-      use_poll = true;
     } else if (arg == "--verbose") {
       gemini::LogState::SetLevel(gemini::LogLevel::kInfo);
     } else if (arg == "--help" || arg == "-h") {
@@ -420,8 +395,6 @@ int main(int argc, char** argv) {
   options.bind_address = bind_address;
   options.port = port;
   options.num_loops = effective_loops;
-  options.use_poll_fallback = use_poll;
-  options.io_backend = io_backend;
   if (drain_timeout_ms >= 0) {
     options.drain_timeout_ms = static_cast<int>(drain_timeout_ms);
   }
@@ -446,8 +419,7 @@ int main(int argc, char** argv) {
       ids += std::to_string(spec.id);
     }
     std::cout << "geminid: instances " << ids << " serving on " << bind_address
-              << ":" << server.port() << " (io backend: "
-              << server.io_backend_name() << ")" << std::endl;
+              << ":" << server.port() << " (io backend: epoll)" << std::endl;
   }
 
   // One coordinator link per hosted instance: the control plane tracks
